@@ -54,8 +54,9 @@ for c in report.checks:
     print("  %s %-12s" % ("PASS" if c.passed else "FAIL", c.key))
 print("E(B) dims:", report.data["ext_B_dims"])
 print("tau blocks (powers of 7 track the internal degree):")
-for bd, block in sorted(report.objects["tau"].blocks.items()):
-    print("  bidegree %s: %s" % (bd, block))
+tau = report.objects["tau"]
+for bd in sorted(tau.blocks):
+    print("  bidegree %s: %s" % (bd, tau.dense(*bd)))
 TB = report.objects["TB"]
 print("E(B) is K_2 but not K_1:",
       not low_degree_generation_check(TB, 1, N, D).generated,

@@ -70,7 +70,6 @@ def reduce_poly(fa, f, basis):
 class GroebnerBasis:
     elements: list  # monic, inter-reduced, homogeneous
     leading_words: list
-    truncation: int
     complete_through: int
 
 
@@ -159,7 +158,6 @@ def buchberger_truncated(fa, relations, D) -> GroebnerBasis:
     return GroebnerBasis(
         elements=reduced,
         leading_words=[max(g, key=fa.word_key) for g in reduced],
-        truncation=D,
         complete_through=D,
     )
 
@@ -214,9 +212,6 @@ class GradedAlgebra:
         if d > self.maxdeg:
             raise TruncationError("Hilbert function only certified through degree %d" % self.maxdeg)
         return len(self.basis[d])
-
-    def is_certified(self, d):
-        return 0 <= d <= self.groebner.complete_through
 
     def normal_form(self, f, strict=True):
         if strict and f:

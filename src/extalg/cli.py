@@ -146,7 +146,7 @@ def cmd_ext(args):
 def cmd_skew(args):
     pres = _load_presentation(args)
     D = args.maxdeg
-    A = GradedAlgebra(pres, D)
+    A = GradedAlgebra(pres, D, _precedence(pres, args.seed_order))
     images = parse_automorphism(_read(args.auto), pres)
     sigma = morphism_from_images(A, A, images, automorphism=True, D=D)
     bpres = skew_extension(A, sigma, args.z_degree, args.z_name)
@@ -195,7 +195,7 @@ def cmd_verify(args):
 def cmd_frobenius(args):
     pres = _load_presentation(args)
     N, D = args.maxcoh, args.maxdeg
-    A = GradedAlgebra(pres, D)
+    A = GradedAlgebra(pres, D, _precedence(pres, args.seed_order))
     P = minimal_resolution(A, N, D)
     E = ExtAlgebra(A, P, N, D)
     table = ext_product_table(E)
@@ -226,7 +226,7 @@ def cmd_frobenius(args):
 def cmd_kp(args):
     pres = _load_presentation(args)
     N, D = args.maxcoh, args.maxdeg
-    A = GradedAlgebra(pres, D)
+    A = GradedAlgebra(pres, D, _precedence(pres, args.seed_order))
     P = minimal_resolution(A, N, D)
     E = ExtAlgebra(A, P, N, D)
     table = ext_product_table(E)
@@ -299,6 +299,9 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for flag in ("maxcoh", "maxdeg"):
+            if getattr(args, flag) < 0:
+                raise ValueError("--%s must be nonnegative" % flag)
         return args.fn(args)
     except (ParseError, MorphismError, FileNotFoundError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -9,9 +9,22 @@ the generator-level part of the deep component; minimality of the resolution
 makes the answer independent of every choice the solver makes, and the tests
 re-solve with a second particular solution to confirm that.
 
-Also here: the contravariant functor on Ext induced by an algebra map, the
-automorphism of Ext induced by an algebra automorphism, and the canonical
-degree-one class of the one-variable polynomial algebra.
+Lift signs.  The target of the lift of a class in bidegree (n, t) is the
+shifted resolution P[n](t), whose differentials carry the sign (-1)^n.  The
+lift is solved against P itself, re-indexed by (n, t) with its differentials
+left unsigned, so it reuses P's cached eliminations; the sign is then put
+back as (-1)^(n*j) on the component j positions below the base.  With the
+canonical particular solution this is exactly the lift against P[n](t).
+
+Maps on Ext.  The contravariant functor on Ext induced by an algebra map and
+the automorphism of Ext induced by an algebra automorphism are both `ExtMap`s:
+block-diagonal maps stored sparsely, one block per bidegree, each block a
+dict of columns {j: {i: nonzero scalar}} (column j is the image of the j-th
+domain basis class over the codomain basis).  Applying, composing and the
+identity test only touch nonzero entries.
+
+Also here: the canonical degree-one class of the one-variable polynomial
+algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, GradedMorphism, TruncationError
-from .complexes import FreeComplex, internal_shift, shift_complex, twist_complex
+from .complexes import FreeComplex, twist_complex
+from .linalg import vec_add_scaled
 
 
 class LiftError(RuntimeError):
@@ -51,7 +65,8 @@ def _poly_times_element(A: GradedAlgebra, poly, element, out):
 
 
 def lift_chain_map(src: FreeComplex, dst: FreeComplex, base_position: int,
-                   base: list, push=None, down_to=None, free_value=0) -> dict:
+                   base: list, push=None, down_to=None, free_value=0,
+                   shift=(0, 0)) -> dict:
     """Extend a prescribed top component to a chain map src -> dst.
 
     `base` lists, per source generator at `base_position`, a module element
@@ -59,10 +74,14 @@ def lift_chain_map(src: FreeComplex, dst: FreeComplex, base_position: int,
     degree by degree against dst's differential; exactness of dst guarantees
     a solution whenever the base is a valid start.  `push` (optional) maps
     source differential entries into dst's algebra, for lifts along an
-    algebra morphism.
+    algebra morphism.  With `shift` = (n, t), dst is read re-indexed by
+    (n, t) with unsigned differentials: source position m and internal
+    degree d land at dst position m + n and degree d - t.  The components
+    stay keyed by source position.
     """
     if down_to is None:
         down_to = min(src.gens)
+    dn, dt = shift
     comps = {base_position: base}
     for m in range(base_position - 1, down_to - 1, -1):
         prev = comps[m + 1]
@@ -83,11 +102,12 @@ def lift_chain_map(src: FreeComplex, dst: FreeComplex, base_position: int,
                     target = prev[r] if r < len(prev) else None
                     if target:
                         _poly_times_element(dst.algebra, entry, target, rhs)
-            b = dst.flatten(m + 1, dv, rhs)
-            x = dst.outgoing_solver(m, dv).solve(b, free_value=free_value)
+            p, e = m + dn, dv - dt
+            b = dst.flatten(p + 1, e, rhs)
+            x = dst.outgoing_solver(p, e).solve(b, free_value=free_value)
             if x is None:
                 raise LiftError("no lift at position %d, degree %d" % (m, dv))
-            cur.append(dst.unflatten(m, dv, x))
+            cur.append(dst.unflatten(p, e, x))
         comps[m] = cur
     return comps
 
@@ -117,7 +137,6 @@ class ExtAlgebra:
                 idx = [i for i, dg in enumerate(degs) if dg == t]
                 self.bidegrees[(n, t)] = idx
                 self.labels.extend((n, t, k) for k in range(len(idx)))
-        self._shifted = {}
         self._lifts = {}
 
     # -- basis bookkeeping ----------------------------------------------------
@@ -156,31 +175,28 @@ class ExtAlgebra:
 
     # -- lifting and the Yoneda product ---------------------------------------
 
-    def shifted_resolution(self, n, t):
-        key = (n, t)
-        got = self._shifted.get(key)
-        if got is None:
-            got = internal_shift(shift_complex(self.resolution, n), -t)
-            self._shifted[key] = got
-        return got
-
     def lift_basis_cocycle(self, label, free_value=None):
-        """Chain self-map of the resolution lifting the dual-basis cocycle."""
+        """Chain map P -> P[n](t) lifting the dual-basis cocycle at `label`.
+
+        The map is keyed by source position.  It is solved against P
+        re-indexed by (n, t), whose differentials lack the sign (-1)^n of
+        P[n]; the component j positions below the base is then multiplied by
+        (-1)^(n*j), which makes it a chain map into P[n](t) itself.
+        """
         fv = self.free_value if free_value is None else free_value
         key = (label, fv)
         got = self._lifts.get(key)
         if got is None:
             n, t, k = label
-            gi = self.gen_index(n, t, k)
-            dst = self.shifted_resolution(n, t)
-            src = self.resolution
-            base = []
-            for vi, dv in enumerate(src.gens[-n]):
-                if vi == gi:
-                    base.append({(0, ()): self.algebra.field.one})
-                else:
-                    base.append({})
-            got = lift_chain_map(src, dst, -n, base, down_to=-self.N, free_value=fv)
+            P = self.resolution
+            base = [{} for _ in P.gens[-n]]
+            base[self.gen_index(n, t, k)] = {(0, ()): self.algebra.field.one}
+            got = lift_chain_map(P, P, -n, base, down_to=-self.N, free_value=fv,
+                                 shift=(n, t))
+            if n % 2:
+                for m, comp in got.items():
+                    if (m + n) % 2:
+                        got[m] = [{gw: -c for gw, c in el.items()} for el in comp]
             self._lifts[key] = got
         return got
 
@@ -190,8 +206,11 @@ class ExtAlgebra:
         if n > self.N or t > self.D:
             raise TruncationError("product lands outside the certified window")
         result_idx = self.bidegrees.get((n, t), [])
-        out = [self.algebra.field.zero] * len(result_idx)
-        g_idx = self.bidegrees.get((g.n, g.t), [])
+        zero = self.algebra.field.zero
+        out = [zero] * len(result_idx)
+        # g pairs with the constant coefficients on its generators
+        g_terms = [((r, ()), gc)
+                   for r, gc in zip(self.bidegrees.get((g.n, g.t), []), g.vector) if gc]
         for k, c in enumerate(f.vector):
             if not c:
                 continue
@@ -201,12 +220,11 @@ class ExtAlgebra:
                 raise TruncationError("lift not deep enough")
             for pos, vi in enumerate(result_idx):
                 elem = comp[vi]
-                acc = self.algebra.field.zero
-                for r_pos, r in enumerate(g_idx):
-                    gc = g.vector[r_pos]
-                    if not gc:
-                        continue
-                    const = elem.get((r, ()))
+                if not elem:
+                    continue
+                acc = zero
+                for key, gc in g_terms:
+                    const = elem.get(key)
                     if const:
                         acc = acc + gc * const
                 if acc:
@@ -225,29 +243,57 @@ class ExtAlgebra:
 # ---------------------------------------------------------------------------
 
 class ExtMap:
-    """The map on Ext-algebras induced by an algebra morphism (contravariant)."""
+    """A bidegree-preserving linear map between Ext-algebras, stored sparsely.
+
+    `blocks[(n, t)]` is the block at one bidegree, kept by columns: column j,
+    the image of the j-th domain basis class, is a dict {i: nonzero scalar}
+    over the codomain basis; zero columns are left out.  A bidegree without
+    a block maps to zero.  Maps induced by algebra morphisms are
+    contravariant, so the domain is the Ext of the morphism's target.
+    """
 
     def __init__(self, domain: ExtAlgebra, codomain: ExtAlgebra, blocks: dict):
         self.domain = domain
         self.codomain = codomain
-        self.blocks = blocks  # (n, t) -> rows over codomain basis, cols over domain basis
+        self.blocks = blocks
 
     def apply(self, cls: ExtClass) -> ExtClass:
-        block = self.blocks.get((cls.n, cls.t))
-        cod_dim = self.codomain.dim(cls.n, cls.t)
         zero = self.codomain.algebra.field.zero
-        out = [zero] * cod_dim
-        if block is not None:
-            for i in range(cod_dim):
-                acc = zero
-                for j, c in enumerate(cls.vector):
-                    if c:
-                        acc = acc + block[i][j] * c
-                out[i] = acc
+        out = [zero] * self.codomain.dim(cls.n, cls.t)
+        cols = self.blocks.get((cls.n, cls.t))
+        if cols is not None:
+            for j, c in enumerate(cls.vector):
+                if not c:
+                    continue
+                for i, a in cols.get(j, {}).items():
+                    out[i] = out[i] + a * c
         return ExtClass(cls.n, cls.t, tuple(out))
 
-    def matrix(self, n, t):
-        return self.blocks.get((n, t))
+    def dense(self, n, t):
+        """The block at (n, t) as rows over the codomain basis, zeros filled in."""
+        zero = self.codomain.algebra.field.zero
+        rows = [[zero] * self.domain.dim(n, t) for _ in range(self.codomain.dim(n, t))]
+        for j, col in self.blocks.get((n, t), {}).items():
+            for i, a in col.items():
+                rows[i][j] = a
+        return rows
+
+
+def _dual_block(comp, dom_idx, cod_idx):
+    """The block that a lift component induces on Ext, as sparse columns.
+
+    The component sends generator `cod_idx[i]` to an element whose constant
+    coefficient on generator `dom_idx[j]` is the entry (i, j) of the block's
+    column j: dualizing transposes the generator-level part.
+    """
+    col_of = {r: j for j, r in enumerate(dom_idx)}
+    cols = {}
+    for i, v in enumerate(cod_idx):
+        elem = comp[v] if comp is not None and v < len(comp) else {}
+        for (r, w), c in elem.items():
+            if not w and c and r in col_of:
+                cols.setdefault(col_of[r], {})[i] = c
+    return cols
 
 
 def ext_functor_map(phi: GradedMorphism, ext_domain: ExtAlgebra,
@@ -263,39 +309,29 @@ def ext_functor_map(phi: GradedMorphism, ext_domain: ExtAlgebra,
     comps = lift_chain_map(src, dst, 0, base, push=phi.apply,
                            down_to=-ext_codomain.N, free_value=free_value)
     blocks = {}
-    zero = phi.target.field.zero
     for (n, t), dom_idx in ext_domain.bidegrees.items():
         if n > ext_codomain.N or t > ext_codomain.D:
             continue
         cod_idx = ext_codomain.bidegrees.get((n, t), [])
-        comp = comps.get(-n)
-        rows = []
-        for vi in cod_idx:
-            elem = comp[vi] if comp is not None and vi < len(comp) else {}
-            rows.append([elem.get((r, ()), zero) for r in dom_idx])
-        blocks[(n, t)] = rows
+        blocks[(n, t)] = _dual_block(comps.get(-n), dom_idx, cod_idx)
     return ExtMap(ext_domain, ext_codomain, blocks)
 
 
 def compose_ext_maps(outer: ExtMap, inner: ExtMap) -> ExtMap:
     """outer o inner as maps of Ext-algebras."""
     blocks = {}
-    zero = outer.codomain.algebra.field.zero
-    for bd, inner_block in inner.blocks.items():
-        outer_block = outer.blocks.get(bd)
-        if outer_block is None:
+    for bd, inner_cols in inner.blocks.items():
+        outer_cols = outer.blocks.get(bd)
+        if outer_cols is None:
             continue
-        rows = len(outer_block)
-        mid = len(inner_block)
-        cols = len(inner_block[0]) if inner_block else 0
-        M = [[zero] * cols for _ in range(rows)]
-        for i in range(rows):
-            for j in range(cols):
-                acc = zero
-                for r in range(mid):
-                    acc = acc + outer_block[i][r] * inner_block[r][j]
-                M[i][j] = acc
-        blocks[bd] = M
+        cols = {}
+        for j, col in inner_cols.items():
+            acc = {}
+            for r, a in col.items():
+                vec_add_scaled(acc, outer_cols.get(r, {}), a)
+            if acc:
+                cols[j] = acc
+        blocks[bd] = cols
     return ExtMap(inner.domain, outer.codomain, blocks)
 
 
@@ -303,26 +339,13 @@ def compose_ext_maps(outer: ExtMap, inner: ExtMap) -> ExtMap:
 # the automorphism of Ext induced by an algebra automorphism
 # ---------------------------------------------------------------------------
 
-class ExtAutomorphism:
-    """Block-diagonal action on the Ext basis, one matrix per bidegree."""
+class ExtAutomorphism(ExtMap):
+    """An `ExtMap` from one Ext-algebra to itself, with a block per bidegree."""
 
     def __init__(self, ext: ExtAlgebra, blocks: dict):
-        self.ext = ext
-        self.blocks = blocks  # (n, t) -> matrix acting on the dual basis
+        super().__init__(ext, ext, blocks)
 
-    def apply(self, cls: ExtClass) -> ExtClass:
-        block = self.blocks.get((cls.n, cls.t))
-        if block is None:
-            return cls
-        zero = self.ext.algebra.field.zero
-        out = [zero] * len(cls.vector)
-        for i in range(len(out)):
-            acc = zero
-            for j, c in enumerate(cls.vector):
-                if c:
-                    acc = acc + block[i][j] * c
-            out[i] = acc
-        return ExtClass(cls.n, cls.t, tuple(out))
+    apply = ExtMap.apply
 
 
 def induced_ext_automorphism(ext: ExtAlgebra, sigma: GradedMorphism,
@@ -340,20 +363,8 @@ def induced_ext_automorphism(ext: ExtAlgebra, sigma: GradedMorphism,
     src = twist_complex(P, sigma.inverse)  # entries pass through sigma
     base = [{(0, ()): ext.algebra.field.one}]
     comps = lift_chain_map(src, P, 0, base, down_to=-ext.N, free_value=free_value)
-    blocks = {}
-    zero = ext.algebra.field.zero
-    for (n, t), idx in ext.bidegrees.items():
-        comp = comps.get(-n)
-        # S[r][v] = constant coefficient of the lift on generators; tau acts on
-        # the dual basis by the transpose.
-        mat = [[zero] * len(idx) for _ in range(len(idx))]
-        for col_pos, v in enumerate(idx):
-            elem = comp[v] if comp is not None and v < len(comp) else {}
-            for row_pos, r in enumerate(idx):
-                c = elem.get((r, ()))
-                if c:
-                    mat[col_pos][row_pos] = c  # transpose into dual action
-        blocks[(n, t)] = mat
+    blocks = {(n, t): _dual_block(comps.get(-n), idx, idx)
+              for (n, t), idx in ext.bidegrees.items()}
     return ExtAutomorphism(ext, blocks)
 
 

@@ -74,9 +74,6 @@ class FreeAlgebra:
 
     # -- polynomials ---------------------------------------------------------
 
-    def zero(self):
-        return {}
-
     def one(self):
         return {(): self.field.one}
 

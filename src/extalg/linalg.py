@@ -94,14 +94,32 @@ class Mod:
         return str(self.val)
 
 
+# Miller-Rabin with these witnesses is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def _is_prime(p):
+    """Deterministic primality test, exact for p below _MR_EXACT_BELOW."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -134,6 +152,9 @@ class PrimeField:
     """GF(p) for a prime p, elements are `Mod`."""
 
     def __init__(self, p):
+        if p >= _MR_EXACT_BELOW:
+            raise ValueError("characteristic %d is too large (must be below %d)"
+                             % (p, _MR_EXACT_BELOW))
         if not _is_prime(p):
             raise ValueError("%d is not prime" % p)
         self.char = p

@@ -6,6 +6,7 @@ dimensions of a quotient come from spanning the ideal inside the free
 algebra.  Both are exponential-ish and only meant for desk-scale windows.
 """
 
+from extalg import ExtClass, internal_shift, lift_chain_map, shift_complex
 from extalg.linalg import Echelon, Eliminator
 
 
@@ -105,3 +106,109 @@ def bar_tor_dimensions(A, N, D):
             if h:
                 out[(n, d)] = h
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense reference implementations of the maps and products on Ext
+# ---------------------------------------------------------------------------
+#
+# Blocks here are dense matrices, rows over the codomain basis and columns
+# over the domain basis, as `ExtMap.dense` returns them.
+
+def dense_blocks(emap):
+    return {bd: emap.dense(*bd) for bd in emap.blocks}
+
+
+def compose_dense(outer, inner, zero):
+    """outer o inner on dicts of dense blocks."""
+    blocks = {}
+    for bd, inner_block in inner.items():
+        outer_block = outer.get(bd)
+        if outer_block is None:
+            continue
+        rows = len(outer_block)
+        mid = len(inner_block)
+        cols = len(inner_block[0]) if inner_block else 0
+        M = [[zero] * cols for _ in range(rows)]
+        for i in range(rows):
+            for j in range(cols):
+                acc = zero
+                for r in range(mid):
+                    acc = acc + outer_block[i][r] * inner_block[r][j]
+                M[i][j] = acc
+        blocks[bd] = M
+    return blocks
+
+
+def apply_dense(blocks, cls, cod_dim, zero):
+    """A map on Ext given by dense blocks, applied to a class (as ExtMap.apply)."""
+    block = blocks.get((cls.n, cls.t))
+    out = [zero] * cod_dim
+    if block is not None:
+        for i in range(cod_dim):
+            acc = zero
+            for j, c in enumerate(cls.vector):
+                if c:
+                    acc = acc + block[i][j] * c
+            out[i] = acc
+    return ExtClass(cls.n, cls.t, tuple(out))
+
+
+def apply_automorphism_dense(blocks, cls, zero):
+    """As ExtAutomorphism.apply: a bidegree without a block is fixed."""
+    block = blocks.get((cls.n, cls.t))
+    if block is None:
+        return cls
+    out = [zero] * len(cls.vector)
+    for i in range(len(out)):
+        acc = zero
+        for j, c in enumerate(cls.vector):
+            if c:
+                acc = acc + block[i][j] * c
+        out[i] = acc
+    return ExtClass(cls.n, cls.t, tuple(out))
+
+
+def shifted_lifts(E, free_value=0):
+    """Lifts of every dual-basis cocycle against P[n](t) built as a complex.
+
+    The target of the lift at bidegree (n, t) is
+    `internal_shift(shift_complex(P, n), -t)`, every differential scaled by
+    (-1)^n, solved with its own eliminations.  Returns {label: components}.
+    """
+    P = E.resolution
+    one = E.algebra.field.one
+    lifts = {}
+    for (n, t), idx in E.bidegrees.items():
+        dst = internal_shift(shift_complex(P, n), -t)
+        for k, gi in enumerate(idx):
+            base = [{(0, ()): one} if vi == gi else {} for vi in range(len(P.gens[-n]))]
+            lifts[(n, t, k)] = lift_chain_map(P, dst, -n, base, down_to=-E.N,
+                                              free_value=free_value)
+    return lifts
+
+
+def yoneda_product_dense(E, lifts, g, f):
+    """g*f by the dense loop over every coordinate, reading `shifted_lifts`."""
+    n, t = g.n + f.n, g.t + f.t
+    result_idx = E.bidegrees.get((n, t), [])
+    zero = E.algebra.field.zero
+    out = [zero] * len(result_idx)
+    g_idx = E.bidegrees.get((g.n, g.t), [])
+    for k, c in enumerate(f.vector):
+        if not c:
+            continue
+        comp = lifts[(f.n, f.t, k)][-n]
+        for pos, vi in enumerate(result_idx):
+            elem = comp[vi]
+            acc = zero
+            for r_pos, r in enumerate(g_idx):
+                gc = g.vector[r_pos]
+                if not gc:
+                    continue
+                const = elem.get((r, ()))
+                if const:
+                    acc = acc + gc * const
+            if acc:
+                out[pos] = out[pos] + c * acc
+    return ExtClass(n, t, tuple(out))

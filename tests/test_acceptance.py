@@ -86,7 +86,7 @@ def test_criterion_1_quantum_plane_golden():
         ok = ok and (uv.vector, vu.vector) == ((Fraction(p),), (Fraction(-1),))
         # tau(u) = p u on E(A)
         tau = rep.objects["tau"]
-        ok = ok and tau.blocks[(1, 1)] == [[Fraction(p)]]
+        ok = ok and tau.dense(1, 1) == [[Fraction(p)]]
         # R carries the coefficient -p on the (v, u) pair
         R = rep.objects["R"]
         ok = ok and R.twist[((1, 1, 0), (1, 1, 0))] == {((1, 1, 0), (1, 1, 0)): Fraction(-p)}

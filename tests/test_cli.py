@@ -185,3 +185,41 @@ def test_text_and_json_dimensions_agree(files, capsys):
     for key, dim in payload["data"]["dimensions"].items():
         n, t = key.split(",")
         assert "%d @ t=%s" % (dim, t) in text
+
+
+def test_frobenius_seed_order_same_verdict(files, capsys):
+    for order in ("x,y", "y,x"):
+        code, payload = run_json(capsys, ["frobenius", files["qplane"], "--maxcoh", "3",
+                                          "--maxdeg", "4", "--format", "json",
+                                          "--seed-order", order])
+        assert code == 0
+        assert payload["data"]["verdict"] == "frobenius"
+        assert payload["data"]["top"] == [2, 2]
+
+
+def test_bad_seed_order_exit_one(files, capsys):
+    for argv in (["frobenius", files["qplane"]], ["kp", files["qplane"], "--p", "1"],
+                 ["skew", files["qplane"], "--auto", files["scale2"]]):
+        assert main(argv + ["--seed-order", "x"]) == 1
+        assert "--seed-order" in capsys.readouterr().err
+
+
+def test_negative_window_exit_one(files, capsys):
+    for argv in (["ext", files["qplane"], "--maxcoh", "-1"],
+                 ["ext", files["qplane"], "--maxdeg", "-2"],
+                 ["frobenius", files["qplane"], "--maxcoh", "-1"],
+                 ["verify", files["kx"], "--auto", files["scale2"], "--maxdeg", "-1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "must be nonnegative" in captured.err
+        assert captured.out == ""
+
+
+def test_large_prime_field_exit_codes(files, capsys, tmp_path):
+    big = tmp_path / "big.pres"
+    big.write_text("field F2305843009213693951\ngens x:1\nrel x^3\n")
+    assert main(["ext", str(big), "--maxcoh", "2", "--maxdeg", "3", "--lenient-truncation"]) == 0
+    composite = tmp_path / "composite.pres"
+    composite.write_text("field F%d\ngens x:1\n" % (1000000007 * 998244353))
+    assert main(["ext", str(composite)]) == 1
+    assert "not prime" in capsys.readouterr().err

@@ -194,7 +194,7 @@ def test_induced_automorphism_multiplicative_and_solver_independent(qplane):
     tau0 = induced_ext_automorphism(E, sigma)
     tau1 = induced_ext_automorphism(E, sigma, free_value=1)
     for bd in tau0.blocks:
-        assert tau0.blocks[bd] == tau1.blocks[bd]
+        assert tau0.dense(*bd) == tau1.dense(*bd)
     for la in E.labels:
         for lb in E.labels:
             if not E.certified_pair(la, lb):

@@ -1,5 +1,6 @@
 """Exact linear algebra: examples plus randomized invariants."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,31 @@ def test_field_by_name():
         field_by_name("F4")
     with pytest.raises(ValueError):
         field_by_name("R")
+
+
+def test_large_characteristics_decided_quickly():
+    # trial division would take hours on these; Miller-Rabin takes microseconds
+    t0 = time.monotonic()
+    assert field_by_name("F2305843009213693951").char == 2 ** 61 - 1
+    with pytest.raises(ValueError, match="not prime"):
+        field_by_name("F%d" % (1000000007 * 998244353))
+    # strong pseudoprime to the bases 2, 3, 5, 7
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(3215031751)
+    # the least strong pseudoprime to all twelve witnesses: beyond the exact range
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(318665857834031151167461)
+    assert time.monotonic() - t0 < 0.5
+
+
+def test_small_characteristics_match_trial_division():
+    for p in range(2000):
+        expected = p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+        if expected:
+            assert PrimeField(p).char == p
+        else:
+            with pytest.raises(ValueError):
+                PrimeField(p)
 
 
 def test_mod_arithmetic():

@@ -105,8 +105,8 @@ def test_verifier_identity_twist_reports_identity_tau(qplane):
     report = verify_ext_factorization(qplane, diag_sigma_images(qplane, (1, 1)), 1, 3, 4)
     assert report.passed
     tau = report.objects["tau"]
-    for bd, block in tau.blocks.items():
-        for i, row in enumerate(block):
+    for bd in tau.blocks:
+        for i, row in enumerate(tau.dense(*bd)):
             for j, c in enumerate(row):
                 assert c == (1 if i == j else 0)
 
@@ -121,8 +121,8 @@ def test_verifier_higher_z_degree(kx):
 def test_inverse_automorphism_gives_inverse_twist(kx):
     rep_fwd = verify_ext_factorization(kx, {0: {(0,): Fraction(2)}}, 1, 3, 3)
     rep_bwd = verify_ext_factorization(kx, {0: {(0,): Fraction(1, 2)}}, 1, 3, 3)
-    tf = rep_fwd.objects["tau"].blocks[(1, 1)][0][0]
-    tb = rep_bwd.objects["tau"].blocks[(1, 1)][0][0]
+    tf = rep_fwd.objects["tau"].dense(1, 1)[0][0]
+    tb = rep_bwd.objects["tau"].dense(1, 1)[0][0]
     assert tf * tb == 1
     # the (u, xi) twist coefficients are mutually inverse up to the shared sign
     cf = rep_fwd.objects["R"].twist[((1, 1, 0), (1, 1, 0))][((1, 1, 0), (1, 1, 0))]
@@ -158,7 +158,7 @@ def test_verifier_over_prime_field():
     report = verify_ext_factorization(pres, images, 1, 3, 5)
     assert report.passed
     # tau is multiplicative across the blocks: 3 * 4 = 2 in GF(5)
-    assert report.objects["tau"].blocks[(2, 2)][0][0] == F5.of(2)
+    assert report.objects["tau"].dense(2, 2)[0][0] == F5.of(2)
 
 
 def test_verifier_nondiagonal_automorphism():
@@ -167,7 +167,7 @@ def test_verifier_nondiagonal_automorphism():
         pres = parse_presentation(ptext)
         report = verify_ext_factorization(pres, images, 1, 3, 4)
         assert report.passed
-        block = report.objects["tau"].blocks[(1, 1)]
+        block = report.objects["tau"].dense(1, 1)
         assert block != [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
