@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from .freealg import FreeAlgebra, Generator, Presentation
-from .linalg import Echelon
+from .linalg import Echelon, vec_add_scaled
 
 
 class TruncationError(RuntimeError):
@@ -41,28 +41,37 @@ def find_subword(w, sub):
 
 
 def reduce_poly(fa, f, basis):
-    """Fully reduce f modulo monic polynomials `basis` (list of (lw, poly))."""
+    """Fully reduce f modulo monic polynomials `basis` (list of (lw, poly)).
+
+    The largest remaining word is always rewritten through the first basis
+    element whose leading word it contains, at the leftmost occurrence.  The
+    rewriting of a word therefore never depends on the other terms of f, so
+    the result is linear in f.
+    """
     work = dict(f)
+    keys = {w: fa.word_key(w) for w in work}
     out = {}
     while work:
-        w = max(work, key=fa.word_key)
+        w = max(work, key=keys.__getitem__)
         c = work.pop(w)
         hit = None
         for lw, g in basis:
             i = find_subword(w, lw)
             if i >= 0:
-                hit = (w[:i], g, w[i + len(lw):])
+                hit = (w[:i], lw, g, w[i + len(lw):])
                 break
         if hit is None:
             fa.add_term(out, w, c)
             continue
-        left, g, right = hit
-        # w = left*lw(g)*right; rewrite via  w -> left*(lw - g)*right
-        lw = max(g, key=fa.word_key)
+        left, lw, g, right = hit
+        # w = left*lw*right; rewrite via  w -> left*(lw - g)*right
         for u, a in g.items():
             if u == lw:
                 continue
-            fa.add_term(work, left + u + right, -c * a)
+            v = left + u + right
+            if v not in keys:
+                keys[v] = fa.word_key(v)
+            fa.add_term(work, v, -c * a)
     return out
 
 
@@ -73,14 +82,15 @@ class GroebnerBasis:
     complete_through: int
 
 
-def _overlaps(fa, g1, g2, same):
-    """S-polynomials from all ambiguities of the pair (g1, g2).
+def _overlaps(fa, e1, e2, same):
+    """S-polynomials from all ambiguities of the pair of basis entries e1, e2.
 
-    Yields (degree of the ambiguity word, spoly).  Covers suffix/prefix
-    overlaps of lw(g1) with lw(g2) and inclusions of lw(g2) inside lw(g1).
+    Entries are (leading word, poly).  Yields (degree of the ambiguity word,
+    spoly).  Covers suffix/prefix overlaps of lw(g1) with lw(g2) and
+    inclusions of lw(g2) inside lw(g1).
     """
-    w1 = max(g1, key=fa.word_key)
-    w2 = max(g2, key=fa.word_key)
+    w1, g1 = e1
+    w2, g2 = e2
     n1, n2 = len(w1), len(w2)
     for k in range(1, min(n1, n2)):
         if w1[n1 - k:] == w2[:k]:
@@ -101,19 +111,24 @@ def _overlaps(fa, g1, g2, same):
 
 
 def _interreduce(fa, elements):
-    basis = [fa.monic(g) for g in elements if g]
+    """Monic, mutually reduced basis entries (leading word, poly), sorted by lw."""
+    basis = [(fa.leading_word(g), g) for g in map(fa.monic, elements) if g]
     changed = True
     while changed:
         changed = False
-        basis.sort(key=lambda g: fa.word_key(max(g, key=fa.word_key)))
+        basis.sort(key=lambda e: fa.word_key(e[0]))
         for i in range(len(basis)):
-            others = [(max(g, key=fa.word_key), g) for j, g in enumerate(basis) if j != i and g]
-            h = reduce_poly(fa, basis[i], others)
-            if h != basis[i]:
-                basis[i] = fa.monic(h)
+            g = basis[i][1]
+            if not g:
+                continue
+            others = [e for j, e in enumerate(basis) if j != i and e[1]]
+            h = reduce_poly(fa, g, others)
+            if h != g:
+                h = fa.monic(h)
+                basis[i] = (fa.leading_word(h) if h else (), h)
                 changed = True
-        basis = [g for g in basis if g]
-    basis.sort(key=lambda g: fa.word_key(max(g, key=fa.word_key)))
+        basis = [e for e in basis if e[1]]
+    basis.sort(key=lambda e: fa.word_key(e[0]))
     return basis
 
 
@@ -143,21 +158,21 @@ def buchberger_truncated(fa, relations, D) -> GroebnerBasis:
         if not h:
             continue
         h = fa.monic(h)
-        lw = max(h, key=fa.word_key)
-        pairs = [(h, h)]
-        for _, g in basis:
-            pairs.append((h, g))
-            pairs.append((g, h))
-        for ga, gb in pairs:
-            for odeg, spoly in _overlaps(fa, ga, gb, ga is gb):
+        new = (fa.leading_word(h), h)
+        pairs = [(new, new)]
+        for old in basis:
+            pairs.append((new, old))
+            pairs.append((old, new))
+        for ea, eb in pairs:
+            for odeg, spoly in _overlaps(fa, ea, eb, ea is eb):
                 if odeg <= D and spoly:
                     heapq.heappush(queue, (odeg, seq, spoly))
                     seq += 1
-        basis.append((lw, h))
+        basis.append(new)
     reduced = _interreduce(fa, [g for _, g in basis])
     return GroebnerBasis(
-        elements=reduced,
-        leading_words=[max(g, key=fa.word_key) for g in reduced],
+        elements=[g for _, g in reduced],
+        leading_words=[lw for lw, _ in reduced],
         complete_through=D,
     )
 
@@ -166,8 +181,11 @@ class GradedAlgebra:
     """A connected graded algebra certified through internal degree D.
 
     Carries the truncated Groebner basis, normal-word bases per degree, the
-    Hilbert function, and exact normal-form arithmetic.  Immutable after
-    construction; all caches are filled eagerly.
+    Hilbert function, and exact normal-form arithmetic.  The basis, the
+    normal words and their index are built in the constructor.  The normal
+    forms of single words are memoized lazily, per algebra, as they are
+    asked for; reduction is linear, so the normal form of a polynomial is
+    the sum of its words' memoized forms.
     """
 
     def __init__(self, presentation: Presentation, D: int, precedence=None):
@@ -181,6 +199,7 @@ class GradedAlgebra:
         self._index = {
             d: {w: i for i, w in enumerate(words)} for d, words in self.basis.items()
         }
+        self._word_nf = {}
 
     def _normal_words(self, D):
         fa = self.free
@@ -220,7 +239,23 @@ class GradedAlgebra:
                 raise TruncationError(
                     "degree %d exceeds certified truncation %d" % (d, self.groebner.complete_through)
                 )
-        return reduce_poly(self.free, f, self._reduction)
+        out = {}
+        for w, c in f.items():
+            if c:
+                vec_add_scaled(out, self.word_normal_form(w), c)
+        return out
+
+    def word_normal_form(self, w):
+        """The normal form of the word w, memoized; callers must not mutate it.
+
+        No truncation check: beyond `complete_through` this is the reduction
+        modulo the truncated basis, as `normal_form(..., strict=False)` gives.
+        """
+        got = self._word_nf.get(w)
+        if got is None:
+            got = reduce_poly(self.free, {w: self.field.one}, self._reduction)
+            self._word_nf[w] = got
+        return got
 
     def mul(self, f, g, strict=True):
         return self.normal_form(self.free.mul(f, g), strict=strict)

@@ -55,8 +55,32 @@ def mat_is_zero(M):
     return all(not e for row in M for e in row)
 
 
+def poly_times_element(A: GradedAlgebra, poly, element, out):
+    """out += poly * element, in normal form, for a module element {(gi, w): c}.
+
+    Every word product goes through the algebra's memoized word normal forms.
+    """
+    for w, c in poly.items():
+        for (gi, u), a in element.items():
+            ca = c * a
+            for v, b in A.word_normal_form(w + u).items():
+                key = (gi, v)
+                s = out.get(key)
+                s = ca * b if s is None else s + ca * b
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
 class FreeComplex:
-    """A cochain complex of free graded left modules, with flattening caches."""
+    """A cochain complex of free graded left modules.
+
+    Caches the module bases per (position, degree) and the elimination of
+    each differential's degree-d part; the flat rows an elimination is built
+    from are not kept.
+    """
 
     def __init__(self, algebra: GradedAlgebra, gens: dict, diffs: dict,
                  augmented=False, maxdeg=None):
@@ -66,7 +90,6 @@ class FreeComplex:
         self.augmented = augmented
         self.maxdeg = algebra.maxdeg if maxdeg is None else maxdeg
         self._module_basis = {}
-        self._flat = {}
         self._solvers = {}
 
     def positions(self):
@@ -108,42 +131,25 @@ class FreeComplex:
 
     def apply_diff(self, n, element):
         """d^n applied to a module element at position n."""
-        A = self.algebra
         M = self.diffs.get(n)
         out = {}
         if M is None:
             return out
         for (gi, w), c in element.items():
-            for r in range(len(M)):
-                entry = M[r][gi]
-                if not entry:
-                    continue
-                prod = A.normal_form(A.free.mul_word(w, entry), strict=False)
-                for u, a in prod.items():
-                    key = (r, u)
-                    s = out.get(key)
-                    s = c * a if s is None else s + c * a
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+            column = {(r, u): a for r, row in enumerate(M) for u, a in row[gi].items()}
+            poly_times_element(self.algebra, {w: c}, column, out)
         return out
 
     def flat_matrix(self, n, d):
         """The degree-d part of d^n as sparse rows over the field."""
-        key = (n, d)
-        got = self._flat.get(key)
-        if got is None:
-            src = self.module_basis(n, d)
-            tgt_index = self.basis_index(n + 1, d)
-            rows = [{} for _ in range(len(tgt_index))]
-            for j, (gi, w) in enumerate(src):
-                image = self.apply_diff(n, {(gi, w): self.algebra.field.one})
-                for bw, c in image.items():
-                    rows[tgt_index[bw]][j] = c
-            got = rows
-            self._flat[key] = got
-        return got
+        src = self.module_basis(n, d)
+        tgt_index = self.basis_index(n + 1, d)
+        rows = [{} for _ in range(len(tgt_index))]
+        one = self.algebra.field.one
+        for j, (gi, w) in enumerate(src):
+            for bw, c in self.apply_diff(n, {(gi, w): one}).items():
+                rows[tgt_index[bw]][j] = c
+        return rows
 
     def augmentation_rows(self, d):
         """The flattened augmentation at degree d (one row onto k, or none)."""
@@ -227,21 +233,6 @@ class ComplexMap:
 # minimal free resolution of the trivial module
 # ---------------------------------------------------------------------------
 
-def _word_times_element(A: GradedAlgebra, w, element):
-    out = {}
-    for (gi, u), c in element.items():
-        prod = A.normal_form({w + u: c}, strict=False)
-        for v, a in prod.items():
-            key = (gi, v)
-            s = out.get(key)
-            s = a if s is None else s + a
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
 def minimal_resolution(A: GradedAlgebra, N: int, D: int) -> FreeComplex:
     """Minimal free resolution of the trivial module, through (N, D).
 
@@ -267,7 +258,8 @@ def minimal_resolution(A: GradedAlgebra, N: int, D: int) -> FreeComplex:
                 if wd < 1:
                     continue
                 for w in A.basis[wd]:
-                    inside.append(cx.flatten(pos, d, _word_times_element(A, w, el)))
+                    prod = poly_times_element(A, {w: A.field.one}, el, {})
+                    inside.append(cx.flatten(pos, d, prod))
             chosen = extend_to_basis(inside, ambient, A.field)
             for vec in chosen:
                 new_degs.append(d)

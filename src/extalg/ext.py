@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, GradedMorphism, TruncationError
-from .complexes import FreeComplex, twist_complex
+from .complexes import FreeComplex, poly_times_element, twist_complex
 from .linalg import vec_add_scaled
 
 
@@ -48,20 +48,6 @@ class ExtClass:
 
     def is_zero(self):
         return all(not c for c in self.vector)
-
-
-def _poly_times_element(A: GradedAlgebra, poly, element, out):
-    for w, c in poly.items():
-        for (gi, u), a in element.items():
-            prod = A.normal_form({w + u: c * a}, strict=False)
-            for v, b in prod.items():
-                key = (gi, v)
-                s = out.get(key)
-                s = b if s is None else s + b
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
 
 
 def lift_chain_map(src: FreeComplex, dst: FreeComplex, base_position: int,
@@ -101,7 +87,7 @@ def lift_chain_map(src: FreeComplex, dst: FreeComplex, base_position: int,
                             continue
                     target = prev[r] if r < len(prev) else None
                     if target:
-                        _poly_times_element(dst.algebra, entry, target, rhs)
+                        poly_times_element(dst.algebra, entry, target, rhs)
             p, e = m + dn, dv - dt
             b = dst.flatten(p + 1, e, rhs)
             x = dst.outgoing_solver(p, e).solve(b, free_value=free_value)

@@ -204,22 +204,24 @@ def certify_smash(T: SmashTwist, N: int, D: int):
         e = {p: one}
         if smash_multiply(T, unit, e) != e or smash_multiply(T, e, unit) != e:
             return "failed", ("unit law", p)
-    for p1 in pairs:
-        n1, t1 = _pair_bidegree(p1)
-        for p2 in pairs:
-            n2, t2 = _pair_bidegree(p2)
+    # p2 outermost, so that each p2 * p3 is formed once and serves every p1
+    for p2 in pairs:
+        n2, t2 = _pair_bidegree(p2)
+        e23 = {}
+        for p3 in pairs:
+            n3, t3 = _pair_bidegree(p3)
+            if n2 + n3 <= N and t2 + t3 <= D:
+                e23[p3] = smash_multiply(T, {p2: one}, {p3: one})
+        for p1 in pairs:
+            n1, t1 = _pair_bidegree(p1)
             if n1 + n2 > N or t1 + t2 > D:
                 continue
             e12 = smash_multiply(T, {p1: one}, {p2: one})
-            for p3 in pairs:
+            for p3, right in e23.items():
                 n3, t3 = _pair_bidegree(p3)
                 if n1 + n2 + n3 > N or t1 + t2 + t3 > D:
                     continue
-                left = smash_multiply(T, e12, {p3: one})
-                right = smash_multiply(
-                    T, {p1: one}, smash_multiply(T, {p2: one}, {p3: one})
-                )
-                if left != right:
+                if smash_multiply(T, e12, {p3: one}) != smash_multiply(T, {p1: one}, right):
                     return "failed", ("associativity", (p1, p2, p3))
     T.status = "smash-certified-to-(%d,%d)" % (N, D)
     return T.status, None

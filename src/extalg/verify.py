@@ -40,8 +40,8 @@ from .algebra import (
     morphism_from_images,
     polynomial_algebra_presentation,
 )
-from .complexes import minimal_resolution, verify_exactness
-from .cone import build_cone_resolution, cross_validate, inclusion_of_base
+from .complexes import minimal_resolution
+from .cone import build_cone_resolution, cross_validate, inclusion_of_base, verify_cone_exactness
 from .ext import (
     ExtAlgebra,
     ExtClass,
@@ -197,9 +197,7 @@ def verify_ext_factorization(pres_A, sigma_images: dict, l: int, N: int, D: int,
     }
 
     # 1. the cone is a minimal resolution and matches the direct computation
-    # (exactness at -N itself would need generators beyond the window)
-    hom = verify_exactness(cone.complex, D)
-    exact_ok = all(v == 0 for (n, _d), v in hom.items() if n > -N)
+    exact_ok = verify_cone_exactness(cone, N, D)
     cv = cross_validate(cone, N, D)
     checks.append(SubCheck(
         "cone", "cone resolution exact, minimal, matches direct resolution of B",

@@ -1,10 +1,14 @@
 """Truncated Groebner bases, quotient arithmetic, morphisms, skew extensions."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extalg import (
+    FreeAlgebra,
     GradedAlgebra,
     Generator,
     MorphismError,
@@ -14,9 +18,11 @@ from extalg import (
     morphism_from_images,
     parse_poly,
     parse_presentation,
+    Presentation,
     polynomial_algebra_presentation,
     skew_extension,
 )
+from extalg.algebra import reduce_poly
 from extalg.linalg import PrimeField, RationalField
 
 from oracles import quotient_dimension
@@ -200,3 +206,78 @@ def test_polynomial_algebra_presentation():
     pres = polynomial_algebra_presentation(RationalField(), "z", 3)
     A = GradedAlgebra(pres, 9)
     assert [A.hilbert(d) for d in range(10)] == [1, 0, 0, 1, 0, 0, 1, 0, 0, 1]
+
+
+# -- the word normal-form memo ---------------------------------------------
+
+_FIELDS = {"Q": RationalField(), "F5": PrimeField(5)}
+
+
+@st.composite
+def _presentations(draw):
+    """2 or 3 generators (one may have degree 2) and 1-2 random relations."""
+    field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
+    degs = draw(st.lists(st.sampled_from([1, 1, 2]), min_size=2, max_size=3))
+    gens = tuple(Generator("g%d" % i, d) for i, d in enumerate(degs))
+    fa = FreeAlgebra(field, gens)
+    words_of = {}
+    for w in itertools.product(range(len(gens)), repeat=2):
+        words_of.setdefault(fa.word_degree(w), []).append(w)
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.sampled_from(sorted(words_of)))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(words_of[d]),
+                               max_size=len(words_of[d])))
+        rel = {w: field.of(c) for w, c in zip(words_of[d], coeffs) if field.of(c)}
+        if rel:
+            rels.append(fa.monic(rel))
+    return Presentation(field, gens, tuple(rels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_presentations(), st.data())
+def test_memoized_normal_form_equals_direct_reduction(pres, data):
+    D = 4
+    A = GradedAlgebra(pres, D)
+    fa, k = A.free, len(pres.generators)
+    word = st.lists(st.integers(0, k - 1), max_size=D + 2).map(tuple)
+    coeff = st.integers(-4, 4).map(A.field.of).filter(bool)
+    for _ in range(3):
+        f = data.draw(st.dictionaries(word, coeff, max_size=5))
+        direct = reduce_poly(fa, f, A._reduction)
+        # twice: once filling the memo, once reading it
+        assert A.normal_form(f, strict=False) == direct
+        assert A.normal_form(f, strict=False) == direct
+        low = {w: c for w, c in f.items() if fa.word_degree(w) <= A.groebner.complete_through}
+        assert A.normal_form(low) == reduce_poly(fa, low, A._reduction)
+        for w in f:
+            assert A.word_normal_form(w) == reduce_poly(fa, {w: A.field.one}, A._reduction)
+
+
+SKL = ("field Q\ngens x:1 y:1 w:1\nrel x*y - 2*y*x + w^2\nrel y*w - 2*w*y + x^2\n"
+       "rel w*x - 2*x*w + y^2\n")
+
+
+def _fingerprint(elements):
+    canon = repr([sorted((w, str(c)) for w, c in g.items()) for g in elements])
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("text, D, size, digest", [
+    # recorded with the completion that recomputed every leading word per rewrite
+    (SKL, 10, 28, "669d18b1536e358a96587cb9111c4c67f42012ed3ed0942c5820072f686a913a"),
+    ("field Q\ngens x:1\nrel x^3\n", 8, 1,
+     "f044e738fbec105486b0f7e9d740e37de3f8dffeffa065dd7e7f3aeb6696ab0e"),
+], ids=["skl", "cube"])
+def test_groebner_elements_fixed_under_memo(text, D, size, digest):
+    A = GradedAlgebra(parse_presentation(text), D)
+    before = [dict(g) for g in A.groebner.elements]
+    assert len(before) == size and _fingerprint(before) == digest
+    assert A.groebner.leading_words == [A.free.leading_word(g) for g in before]
+    k = len(A.free.gens)
+    for n in range(6):
+        for w in itertools.product(range(k), repeat=n):
+            A.normal_form({w: A.field.one})
+    A.normal_form({(0,) * (D + 2): A.field.one}, strict=False)
+    assert A.groebner.elements == before
+    assert _fingerprint(A.groebner.elements) == digest
