@@ -125,7 +125,7 @@ def _interreduce(fa, elements):
             h = reduce_poly(fa, g, others)
             if h != g:
                 h = fa.monic(h)
-                basis[i] = (fa.leading_word(h) if h else (), h)
+                basis[i] = (fa.leading_word(h) if h else None, h)
                 changed = True
         basis = [e for e in basis if e[1]]
     basis.sort(key=lambda e: fa.word_key(e[0]))
@@ -181,11 +181,11 @@ class GradedAlgebra:
     """A connected graded algebra certified through internal degree D.
 
     Carries the truncated Groebner basis, normal-word bases per degree, the
-    Hilbert function, and exact normal-form arithmetic.  The basis, the
-    normal words and their index are built in the constructor.  The normal
-    forms of single words are memoized lazily, per algebra, as they are
-    asked for; reduction is linear, so the normal form of a polynomial is
-    the sum of its words' memoized forms.
+    Hilbert function, and exact normal-form arithmetic.  The Groebner
+    basis and the normal words per degree are built in the constructor.
+    The normal forms of single words are memoized lazily, per algebra, as
+    they are asked for; reduction is linear, so the normal form of a
+    polynomial is the sum of its words' memoized forms.
     """
 
     def __init__(self, presentation: Presentation, D: int, precedence=None):
