@@ -66,6 +66,7 @@ from .smash import (
     skew_commutation_twist,
     skew_smash_transport_report,
     smash_multiply,
+    transport_check,
     twist_from_factorization,
 )
 from .verify import (

@@ -305,10 +305,9 @@ class GradedMorphism:
         return out
 
     def apply(self, f):
-        fa = self.target.free
         out = {}
         for w, c in f.items():
-            out = fa.add(out, fa.scale(self.apply_word(w), c))
+            vec_add_scaled(out, self.apply_word(w), c)
         return self.target.normal_form(out)
 
     def __repr__(self):

@@ -21,6 +21,7 @@ from .algebra import (
     MorphismError,
     TruncationError,
     morphism_from_images,
+    skew_extension,
 )
 from .complexes import minimal_resolution
 from .ext import ExtAlgebra
@@ -33,7 +34,6 @@ from .verify import (
     low_degree_generation_check,
     verify_ext_factorization,
 )
-from .algebra import skew_extension
 
 
 def _jsonable(x):
@@ -63,25 +63,40 @@ def _coerce_field(pres: Presentation, name: str) -> Presentation:
     return Presentation(field, pres.generators, rels)
 
 
-def _precedence(pres, seed_order):
-    if not seed_order:
-        return None
-    names = [n for n in seed_order.replace(",", " ").split() if n]
+def _load(args):
+    """The presentation, with any --field override, and its --seed-order precedence."""
+    pres = parse_presentation(_read(args.presentation))
+    if args.field:
+        pres = _coerce_field(pres, args.field)
+    if not args.seed_order:
+        return pres, None
+    names = [n for n in args.seed_order.replace(",", " ").split() if n]
     index = {g.name: i for i, g in enumerate(pres.generators)}
     if sorted(names) != sorted(index):
         raise ParseError("--seed-order must list every generator exactly once")
-    return [index[n] for n in names]
+    return pres, [index[n] for n in names]
 
 
-def _load_presentation(args):
-    pres = parse_presentation(_read(args.presentation))
-    if getattr(args, "field", None):
-        pres = _coerce_field(pres, args.field)
-    return pres
+def _build_ext(args):
+    """A, its minimal resolution P and E = Ext_A(k, k), through the window."""
+    pres, precedence = _load(args)
+    N, D = args.maxcoh, args.maxdeg
+    A = GradedAlgebra(pres, D, precedence)
+    P = minimal_resolution(A, N, D)
+    return A, P, ExtAlgebra(A, P, N, D)
 
 
-def _emit(args, payload, text_lines):
+def _emit(args, field_name, certified, data, text_lines):
+    """Print the text lines, or the JSON payload: command, window, field, data."""
     if args.format == "json":
+        N, D = args.maxcoh, args.maxdeg
+        payload = {
+            "command": args.command,
+            "truncation": {"N": N, "D": D},
+            "field": field_name,
+            "certified": {"window": [N, D]} | certified,
+            "data": data,
+        }
         print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -102,12 +117,8 @@ def _truncation_warnings(res, N, D):
 
 
 def cmd_ext(args):
-    pres = _load_presentation(args)
-    precedence = _precedence(pres, args.seed_order)
+    A, P, E = _build_ext(args)
     N, D = args.maxcoh, args.maxdeg
-    A = GradedAlgebra(pres, D, precedence)
-    P = minimal_resolution(A, N, D)
-    E = ExtAlgebra(A, P, N, D)
     warnings = _truncation_warnings(P, N, D)
     lines = ["Ext dimension table over %s, window (N=%d, D=%d):" % (A.field.name, N, D)]
     dims = {}
@@ -130,23 +141,16 @@ def cmd_ext(args):
         data["products"] = prods
     for w in warnings:
         lines.append("warning: " + w)
-    payload = {
-        "command": "ext",
-        "truncation": {"N": N, "D": D},
-        "field": A.field.name,
-        "certified": {"window": [N, D], "warnings": warnings},
-        "data": data,
-    }
-    _emit(args, payload, lines)
+    _emit(args, A.field.name, {"warnings": warnings}, data, lines)
     if warnings and not args.lenient_truncation:
         return 2
     return 0
 
 
 def cmd_skew(args):
-    pres = _load_presentation(args)
+    pres, precedence = _load(args)
     D = args.maxdeg
-    A = GradedAlgebra(pres, D, _precedence(pres, args.seed_order))
+    A = GradedAlgebra(pres, D, precedence)
     images = parse_automorphism(_read(args.auto), pres)
     sigma = morphism_from_images(A, A, images, automorphism=True, D=D)
     bpres = skew_extension(A, sigma, args.z_degree, args.z_name)
@@ -160,8 +164,7 @@ def cmd_skew(args):
 
 
 def cmd_verify(args):
-    pres = _load_presentation(args)
-    precedence = _precedence(pres, args.seed_order)
+    pres, precedence = _load(args)
     images = parse_automorphism(_read(args.auto), pres)
     N, D = args.maxcoh, args.maxdeg
     report = verify_ext_factorization(pres, images, args.z_degree, N, D,
@@ -174,48 +177,30 @@ def cmd_verify(args):
         if c.counterexample is not None and not c.passed:
             lines.append("       counterexample: %s" % (c.counterexample,))
     lines.append("overall: %s" % ("PASS" if report.passed else "FAIL"))
-    payload = {
-        "command": "verify",
-        "truncation": {"N": N, "D": D},
-        "field": report.field_name,
-        "certified": {
-            "window": [N, D],
-            "checks": {c.key: c.passed for c in report.checks},
-        },
-        "data": dict(report.data) | {
-            "counterexamples": {
-                c.key: c.counterexample for c in report.checks if c.counterexample is not None
-            },
+    data = dict(report.data) | {
+        "counterexamples": {
+            c.key: c.counterexample for c in report.checks if c.counterexample is not None
         },
     }
-    _emit(args, payload, lines)
+    _emit(args, report.field_name, {"checks": {c.key: c.passed for c in report.checks}},
+          data, lines)
     return 0 if report.passed else 3
 
 
 def cmd_frobenius(args):
-    pres = _load_presentation(args)
+    A, P, E = _build_ext(args)
     N, D = args.maxcoh, args.maxdeg
-    A = GradedAlgebra(pres, D, _precedence(pres, args.seed_order))
-    P = minimal_resolution(A, N, D)
-    E = ExtAlgebra(A, P, N, D)
-    table = ext_product_table(E)
     fin = is_finite_certified(P, A, N, D)
-    verdict = frobenius_check(table, fin)
+    verdict = frobenius_check(ext_product_table(E), fin)
     lines = [
         "finite-dimensional certified: %s (%s)" % (fin.finite, fin.reason),
         "frobenius verdict [window N=%d, D=%d]: %s" % (N, D, verdict.status),
     ]
     if verdict.detail:
         lines.append("  " + verdict.detail)
-    payload = {
-        "command": "frobenius",
-        "truncation": {"N": N, "D": D},
-        "field": A.field.name,
-        "certified": {"window": [N, D], "finite": fin.finite},
-        "data": {"verdict": verdict.status, "detail": verdict.detail,
-                 "top": verdict.top, "finite_reason": fin.reason},
-    }
-    _emit(args, payload, lines)
+    data = {"verdict": verdict.status, "detail": verdict.detail,
+            "top": verdict.top, "finite_reason": fin.reason}
+    _emit(args, A.field.name, {"finite": fin.finite}, data, lines)
     if verdict.status == "frobenius":
         return 0
     if verdict.status == "not-finite-certified":
@@ -224,25 +209,15 @@ def cmd_frobenius(args):
 
 
 def cmd_kp(args):
-    pres = _load_presentation(args)
+    A, _P, E = _build_ext(args)
     N, D = args.maxcoh, args.maxdeg
-    A = GradedAlgebra(pres, D, _precedence(pres, args.seed_order))
-    P = minimal_resolution(A, N, D)
-    E = ExtAlgebra(A, P, N, D)
-    table = ext_product_table(E)
-    verdict = low_degree_generation_check(table, args.p, N, D)
+    verdict = low_degree_generation_check(ext_product_table(E), args.p, N, D)
     status = "generated-within-window" if verdict.generated else "not-generated"
     lines = ["K_%d verdict [window N=%d, D=%d]: %s" % (args.p, N, D, status)]
     if verdict.witness:
         lines.append("  first unreached bidegree: %s" % (verdict.witness,))
-    payload = {
-        "command": "kp",
-        "truncation": {"N": N, "D": D},
-        "field": A.field.name,
-        "certified": {"window": [N, D]},
-        "data": {"p": args.p, "verdict": status, "witness": verdict.witness},
-    }
-    _emit(args, payload, lines)
+    data = {"p": args.p, "verdict": status, "witness": verdict.witness}
+    _emit(args, A.field.name, {}, data, lines)
     return 0 if verdict.generated else 3
 
 
@@ -302,6 +277,8 @@ def main(argv=None):
         for flag in ("maxcoh", "maxdeg"):
             if getattr(args, flag) < 0:
                 raise ValueError("--%s must be nonnegative" % flag)
+        if args.command == "kp" and args.p < 1:
+            raise ValueError("--p must be at least 1")
         return args.fn(args)
     except (ParseError, MorphismError, FileNotFoundError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)

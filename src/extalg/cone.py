@@ -13,6 +13,7 @@ inside the Ext-algebra of B.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, GradedMorphism, skew_extension, morphism_from_images
@@ -106,6 +107,33 @@ def expected_cone_dimension(cone: ConeResolution, j: int, d: int) -> int:
     return zpart + apart
 
 
+def _generator_table(cx: FreeComplex, N: int, D: int) -> dict:
+    """{(j, d): number of degree-d generators at position -j}, zeros left out."""
+    return dict(Counter((j, t) for j in range(N + 1)
+                        for t in sorted(cx.gens.get(-j, [])) if t <= D))
+
+
+def cone_mismatches(cone: ConeResolution, direct: FreeComplex, N: int, D: int) -> list:
+    """Where the cone's generator table differs from another resolution's.
+
+    Entries are (j, d, cone count, other count), and (j, d, cone count,
+    "labeling") where the cone differs from the count its z-part/A-part
+    labeling predicts from the base resolution.
+    """
+    table_cone = _generator_table(cone.complex, N, D)
+    table_direct = _generator_table(direct, N, D)
+    mismatches = []
+    for j in range(N + 1):
+        for d in range(D + 1):
+            dim_c = table_cone.get((j, d), 0)
+            dim_d = table_direct.get((j, d), 0)
+            if dim_c != dim_d:
+                mismatches.append((j, d, dim_c, dim_d))
+            if dim_c != expected_cone_dimension(cone, j, d):
+                mismatches.append((j, d, dim_c, "labeling"))
+    return mismatches
+
+
 def cross_validate(cone: ConeResolution, N: int, D: int) -> dict:
     """Compare the cone's generator table with a directly computed resolution of B.
 
@@ -113,28 +141,12 @@ def cross_validate(cone: ConeResolution, N: int, D: int) -> dict:
     dimension tables must agree exactly; any mismatch is a bug signal.
     """
     direct = minimal_resolution(cone.algebra, N, D)
-    mismatches = []
-    table_cone = {}
-    table_direct = {}
-    for j in range(N + 1):
-        degs_c = cone.complex.gens.get(-j, [])
-        degs_d = direct.gens.get(-j, [])
-        for d in range(D + 1):
-            dim_c = sum(1 for t in degs_c if t == d)
-            dim_d = sum(1 for t in degs_d if t == d)
-            if dim_c:
-                table_cone[(j, d)] = dim_c
-            if dim_d:
-                table_direct[(j, d)] = dim_d
-            if dim_c != dim_d:
-                mismatches.append((j, d, dim_c, dim_d))
-            if dim_c != expected_cone_dimension(cone, j, d):
-                mismatches.append((j, d, dim_c, "labeling"))
+    mismatches = cone_mismatches(cone, direct, N, D)
     return {
         "match": not mismatches,
         "mismatches": mismatches,
-        "cone_table": table_cone,
-        "direct_table": table_direct,
+        "cone_table": _generator_table(cone.complex, N, D),
+        "direct_table": _generator_table(direct, N, D),
         "direct_resolution": direct,
     }
 

@@ -49,6 +49,10 @@ class ExtClass:
     def is_zero(self):
         return all(not c for c in self.vector)
 
+    def label_vector(self) -> dict:
+        """The class as a sparse vector {(n, t, k): nonzero scalar} over basis labels."""
+        return {(self.n, self.t, k): c for k, c in enumerate(self.vector) if c}
+
 
 def lift_chain_map(src: FreeComplex, dst: FreeComplex, base_position: int,
                    base: list, push=None, down_to=None, free_value=0,
@@ -129,9 +133,6 @@ class ExtAlgebra:
 
     def dim(self, n, t):
         return len(self.bidegrees.get((n, t), []))
-
-    def zero(self, n, t):
-        return ExtClass(n, t, (self.algebra.field.zero,) * self.dim(n, t))
 
     def basis_class(self, n, t, k):
         dim = self.dim(n, t)

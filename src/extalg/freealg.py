@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import field_by_name
+from .linalg import field_by_name, vec_add_scaled
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,13 @@ class FreeAlgebra:
 
     def add(self, f, g):
         out = dict(f)
-        for w, c in g.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+        vec_add_scaled(out, g, self.field.one)
         return out
 
     def sub(self, f, g):
-        return self.add(f, self.scale(g, -1))
+        out = dict(f)
+        vec_add_scaled(out, g, -self.field.one)
+        return out
 
     def scale(self, f, c):
         c = self.field.of(c)

@@ -9,15 +9,18 @@ R: Y (x) X -> X (x) Y given on basis pairs.  The twisted product on X (x) Y is
 `certify_smash` checks normality, unit laws and associativity on all basis
 triples inside the window; `twist_from_factorization` recovers the unique
 twist from two algebra maps into a common algebra whose combined
-multiplication map is bijective in every bidegree.
+multiplication map is bijective in every bidegree; `transport_check` tests
+that the combined multiplication carries a twisted product onto the common
+algebra's product.  The last two serve both the algebra level (the skew
+extension itself) and the Ext level (the factorization of its Ext-algebra).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra, GradedMorphism, TruncationError
-from .linalg import Echelon
+from .algebra import GradedAlgebra, GradedMorphism, TruncationError, polynomial_algebra_presentation
+from .linalg import Echelon, vec_add_scaled
 
 
 @dataclass
@@ -56,15 +59,8 @@ class ProductTable:
             if not ca:
                 continue
             for lb, cb in vb.items():
-                if not cb:
-                    continue
-                for lc, c in self.mul_basis(la, lb).items():
-                    s = out.get(lc)
-                    s = ca * cb * c if s is None else s + ca * cb * c
-                    if s:
-                        out[lc] = s
-                    else:
-                        del out[lc]
+                if cb:
+                    vec_add_scaled(out, self.mul_basis(la, lb), ca * cb)
         return out
 
 
@@ -75,16 +71,8 @@ def ext_product_table(ext) -> ProductTable:
         for lb in ext.labels:
             if not ext.certified_pair(la, lb):
                 continue
-            a = ext.basis_class(*la)
-            b = ext.basis_class(*lb)
-            cls = ext.multiply(a, b)
-            out_labels = ext.bidegrees.get((cls.n, cls.t), [])
-            vec = {}
-            for pos in range(len(out_labels)):
-                c = cls.vector[pos]
-                if c:
-                    vec[(cls.n, cls.t, pos)] = c
-            products[(la, lb)] = vec
+            products[(la, lb)] = ext.multiply(
+                ext.basis_class(*la), ext.basis_class(*lb)).label_vector()
     return ProductTable(
         field=ext.algebra.field,
         labels=list(ext.labels),
@@ -227,6 +215,37 @@ def certify_smash(T: SmashTwist, N: int, D: int):
     return T.status, None
 
 
+def transport_check(C: ProductTable, T: SmashTwist, fX: dict, fY: dict,
+                    N: int, D: int):
+    """Does x (x) y |-> fX(x) fY(y) carry the twisted product to C's product?
+
+    fX, fY send basis labels of T's factors to vectors in C.  The map m is
+    tested on all basis pairs p1, p2 whose product lies in the (N, D)
+    window: m(p1 * p2) == m(p1) m(p2).  Returns None, or the first failing
+    ("transport", p1, p2).
+    """
+    one = C.field.one
+    pairs = [
+        (xl, yl)
+        for xl in T.left.labels
+        for yl in T.right.labels
+        if xl[0] + yl[0] <= N and xl[1] + yl[1] <= D
+    ]
+    image = {p: C.mul(fX[p[0]], fY[p[1]]) for p in pairs}
+    for p1 in pairs:
+        n1, t1 = _pair_bidegree(p1)
+        for p2 in pairs:
+            n2, t2 = _pair_bidegree(p2)
+            if n1 + n2 > N or t1 + t2 > D:
+                continue
+            lhs = {}
+            for p, c in smash_multiply(T, {p1: one}, {p2: one}).items():
+                vec_add_scaled(lhs, image[p], c)
+            if lhs != C.mul(image[p1], image[p2]):
+                return ("transport", p1, p2)
+    return None
+
+
 def skew_commutation_twist(A: GradedAlgebra, sigma: GradedMorphism, l: int,
                            D: int, Z: GradedAlgebra) -> SmashTwist:
     """The twist z^i (x) a |-> sigma^i(a) (x) z^i on truncated bases.
@@ -260,76 +279,36 @@ def skew_smash_transport_report(A: GradedAlgebra, sigma: GradedMorphism, l: int,
                                 B: GradedAlgebra, zname: str, D: int) -> dict:
     """Check that A #_R k[z] with the commutation twist is B itself.
 
-    The bijection a (x) z^i |-> normal form of a*z^i in B must be invertible
-    degree by degree and must transport the smash product to B's normal-form
-    product on all basis pairs through degree D.
+    The combined multiplication a (x) z^i |-> a*z^i into B's product table
+    must be bijective degree by degree (`twist_from_factorization`), and the
+    twisted product must transport to B's product on all basis pairs through
+    degree D (`transport_check`).  The counterexample is the first failure:
+    the smash laws', ("not bijective", bidegree), or the transport's.
     """
-    from .algebra import polynomial_algebra_presentation
-
     Z = GradedAlgebra(polynomial_algebra_presentation(A.field, zname, l), D)
     T = skew_commutation_twist(A, sigma, l, D, Z)
     status, bad = certify_smash(T, 0, D)
-    report = {"certified": status.startswith("smash-certified"), "counterexample": bad}
+    C = algebra_table(B, D)
     zi = B.free.index[zname]
 
-    def embed(xl, yl):
-        w = A.basis[xl[1]][xl[2]]
-        i = yl[1] // l
-        return B.normal_form({w + (zi,) * i: B.field.one})
+    def embed(word, d):
+        nf = B.normal_form({word: B.field.one})
+        return {(0, d, B._index[d][u]): c for u, c in nf.items()}
 
-    pair_elems = {}
-    for xl in T.left.labels:
-        for yl in T.right.labels:
-            d = xl[1] + yl[1]
-            if d <= D:
-                pair_elems.setdefault(d, []).append((xl, yl))
-    bijective = True
-    for d, pairs in pair_elems.items():
-        if len(pairs) != B.hilbert(d):
-            bijective = False
-            report["dimension_mismatch"] = d
-            break
-        rows = [{} for _ in range(B.hilbert(d))]
-        for j, (xl, yl) in enumerate(pairs):
-            for idx, c in B.coords(embed(xl, yl), d).items():
-                rows[idx][j] = c
-        if Echelon(rows, len(pairs), B.field).rank != len(pairs):
-            bijective = False
-            report["singular_degree"] = d
-            break
-    report["bijective"] = bijective
-    transported = bijective and report["certified"]
+    fX = {xl: embed(A.basis[xl[1]][xl[2]], xl[1]) for xl in T.left.labels}
+    fY = {yl: embed((zi,) * (yl[1] // l), yl[1]) for yl in T.right.labels}
+    try:
+        twist_from_factorization(C, fX, fY, T.left, T.right, 0, D)
+        bijective = True
+    except NotAFactorization as e:
+        bijective = False
+        bad = bad or ("not bijective", e.bidegree)
+    transported = bijective and bad is None
     if transported:
-        for d1, pairs1 in pair_elems.items():
-            for p1 in pairs1:
-                for d2, pairs2 in pair_elems.items():
-                    if d1 + d2 > D:
-                        continue
-                    for p2 in pairs2:
-                        prod = smash_multiply(T, {p1: A.field.one}, {p2: A.field.one})
-                        lhs = {}
-                        for (xl, yl), c in prod.items():
-                            for w, a in embed(xl, yl).items():
-                                s = lhs.get(w)
-                                s = c * a if s is None else s + c * a
-                                if s:
-                                    lhs[w] = s
-                                else:
-                                    del lhs[w]
-                        rhs = B.mul(embed(*p1), embed(*p2))
-                        if lhs != rhs:
-                            transported = False
-                            report["product_mismatch"] = (p1, p2)
-                            break
-                    if not transported:
-                        break
-                if not transported:
-                    break
-            if not transported:
-                break
-    report["transported"] = transported
-    report["passed"] = report["certified"] and bijective and transported
-    return report
+        bad = transport_check(C, T, fX, fY, 0, D)
+        transported = bad is None
+    return {"certified": status.startswith("smash-certified"), "bijective": bijective,
+            "transported": transported, "passed": transported, "counterexample": bad}
 
 
 class NotAFactorization(ValueError):

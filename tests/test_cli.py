@@ -215,6 +215,14 @@ def test_negative_window_exit_one(files, capsys):
         assert captured.out == ""
 
 
+def test_kp_nonpositive_p_exit_one(files, capsys):
+    for p in ("0", "-3"):
+        assert main(["kp", files["cube"], "--p", p]) == 1
+        captured = capsys.readouterr()
+        assert "--p must be at least 1" in captured.err
+        assert captured.out == ""
+
+
 def test_large_prime_field_exit_codes(files, capsys, tmp_path):
     big = tmp_path / "big.pres"
     big.write_text("field F2305843009213693951\ngens x:1\nrel x^3\n")
