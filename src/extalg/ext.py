@@ -162,7 +162,7 @@ class ExtAlgebra:
 
     # -- lifting and the Yoneda product ---------------------------------------
 
-    def lift_basis_cocycle(self, label, free_value=None):
+    def lift_basis_cocycle(self, label):
         """Chain map P -> P[n](t) lifting the dual-basis cocycle at `label`.
 
         The map is keyed by source position.  It is solved against P
@@ -170,24 +170,22 @@ class ExtAlgebra:
         P[n]; the component j positions below the base is then multiplied by
         (-1)^(n*j), which makes it a chain map into P[n](t) itself.
         """
-        fv = self.free_value if free_value is None else free_value
-        key = (label, fv)
-        got = self._lifts.get(key)
+        got = self._lifts.get(label)
         if got is None:
             n, t, k = label
             P = self.resolution
             base = [{} for _ in P.gens[-n]]
             base[self.gen_index(n, t, k)] = {(0, ()): self.algebra.field.one}
-            got = lift_chain_map(P, P, -n, base, down_to=-self.N, free_value=fv,
-                                 shift=(n, t))
+            got = lift_chain_map(P, P, -n, base, down_to=-self.N,
+                                 free_value=self.free_value, shift=(n, t))
             if n % 2:
                 for m, comp in got.items():
                     if (m + n) % 2:
                         got[m] = [{gw: -c for gw, c in el.items()} for el in comp]
-            self._lifts[key] = got
+            self._lifts[label] = got
         return got
 
-    def multiply(self, g: ExtClass, f: ExtClass, free_value=None) -> ExtClass:
+    def multiply(self, g: ExtClass, f: ExtClass) -> ExtClass:
         """The Yoneda product g*f ("g after f"); bidegrees add."""
         n, t = g.n + f.n, g.t + f.t
         if n > self.N or t > self.D:
@@ -201,7 +199,7 @@ class ExtAlgebra:
         for k, c in enumerate(f.vector):
             if not c:
                 continue
-            comps = self.lift_basis_cocycle((f.n, f.t, k), free_value=free_value)
+            comps = self.lift_basis_cocycle((f.n, f.t, k))
             comp = comps.get(-n)
             if comp is None:
                 raise TruncationError("lift not deep enough")

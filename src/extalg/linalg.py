@@ -2,9 +2,12 @@
 
 Scalars are `fractions.Fraction` (over Q) or `Mod` (over GF(p)); there is no
 floating point anywhere.  Matrices are lists of sparse rows, each row a dict
-{column index: nonzero scalar}.  All pivoting is deterministic (leftmost
-nonzero column, first eligible row), so every basis produced downstream is
-reproducible across runs.
+{column index: nonzero scalar}.  There is one forward-elimination loop,
+`Eliminator.reduce`, which clears a vector's least column against a
+{pivot col: row} dict; `Echelon` runs on it and then back-substitutes.  A
+matrix's reduced row echelon form is unique, so its pivots, reduced rows,
+kernel basis and canonical solutions do not depend on the elimination order,
+and every basis produced downstream is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -209,135 +212,24 @@ def vec_add_scaled(dst, src, c):
                 del dst[j]
 
 
-class Echelon:
-    """Reduced row echelon data for one matrix, reusable for many solves.
-
-    Rows are eliminated together with an augmented identity block, so that
-    particular solutions and consistency checks against arbitrary right-hand
-    sides cost one sparse substitution each.
-    """
-
-    def __init__(self, rows, ncols, field):
-        self.ncols = ncols
-        self.field = field
-        work = []
-        for i, r in enumerate(rows):
-            row = {j: v for j, v in r.items() if v}
-            row[ncols + i] = field.one  # transform tracker
-            work.append(row)
-        nrows = len(rows)
-        reduced = []
-        for col in range(ncols):
-            hit = None
-            for i, row in enumerate(work):
-                if row.get(col):
-                    hit = i
-                    break
-            if hit is None:
-                continue
-            row = work.pop(hit)
-            inv = field.one / row[col]
-            row = {j: inv * v for j, v in row.items()}
-            for other in work:
-                c = other.get(col)
-                if c:
-                    vec_add_scaled(other, row, -c)
-            for pcol, prow in reduced:
-                c = prow.get(col)
-                if c:
-                    vec_add_scaled(prow, row, -c)
-            reduced.append((col, row))
-        # remaining rows have zero matrix part; keep their transforms for
-        # consistency checks
-        self.zero_rows = [
-            {j - ncols: v for j, v in row.items() if j >= ncols and v}
-            for row in work
-        ]
-        reduced.sort(key=lambda t: t[0])
-        self.rows = reduced
-        self.rank = len(reduced)
-        self.pivot_cols = [c for c, _ in reduced]
-        piv = set(self.pivot_cols)
-        self.free_cols = [c for c in range(ncols) if c not in piv]
-        self._nrows = nrows
-
-    def rhs_value(self, row, b):
-        """Apply the stored transform of `row` to sparse rhs `b`."""
-        acc = self.field.zero
-        ncols = self.ncols
-        for j, c in row.items():
-            if j >= ncols:
-                x = b.get(j - ncols)
-                if x:
-                    acc = acc + c * x
-        return acc
-
-    def solve(self, b, free_value=0):
-        """One solution x (sparse dict) of M x = b, or None if inconsistent.
-
-        free_value=0 gives the canonical particular solution; any other value
-        assigns that constant to every free variable, producing a second,
-        independent particular solution for well-definedness tests.
-        """
-        for trow in self.zero_rows:
-            acc = self.field.zero
-            for i, c in trow.items():
-                x = b.get(i)
-                if x:
-                    acc = acc + c * x
-            if acc:
-                return None
-        fv = self.field.of(free_value)
-        x = {}
-        if fv:
-            for c in self.free_cols:
-                x[c] = fv
-        for col, row in self.rows:
-            val = self.rhs_value(row, b)
-            if fv:
-                for j, c in row.items():
-                    if j < self.ncols and j != col and c:
-                        val = val - c * fv
-            if val:
-                x[col] = val
-        return x
-
-    def kernel_basis(self):
-        """Vectors spanning the nullspace, one per free column, deterministic."""
-        out = []
-        for fc in self.free_cols:
-            v = {fc: self.field.one}
-            for col, row in self.rows:
-                c = row.get(fc)
-                if c:
-                    v[col] = -c
-            out.append(v)
-        return out
-
-
-def rref(rows, ncols, field):
-    """Reduced row echelon form. Returns (rows in echelon order, pivot cols)."""
-    ech = Echelon(rows, ncols, field)
-    out = []
-    for col, row in ech.rows:
-        out.append({j: v for j, v in row.items() if j < ncols})
-    return out, ech.pivot_cols
-
-
-def rank(rows, ncols, field):
-    return Echelon(rows, ncols, field).rank
-
-
-def kernel_basis(rows, ncols, field):
-    return Echelon(rows, ncols, field).kernel_basis()
-
-
-def solve(rows, ncols, b, field, free_value=0):
-    return Echelon(rows, ncols, field).solve(b, free_value=free_value)
+def _dot(u, v):
+    """Sum of u[i] * v[i] over the common keys of two sparse dicts (int 0 if none)."""
+    if len(u) > len(v):
+        u, v = v, u
+    acc = 0
+    for i, c in u.items():
+        x = v.get(i)
+        if x:
+            acc = acc + c * x
+    return acc
 
 
 class Eliminator:
-    """Incremental forward elimination used for span bookkeeping."""
+    """Incremental forward elimination over a {pivot col: row} dict.
+
+    Each stored row is normalized at its pivot, its least column.  `reduce`
+    is the one pivot-finding loop of the module; `Echelon` runs on it too.
+    """
 
     def __init__(self, field):
         self.field = field
@@ -358,9 +250,12 @@ class Eliminator:
         r, p = self.reduce(v)
         if p is None:
             return False
+        self._store(r, p)
+        return True
+
+    def _store(self, r, p):
         inv = self.field.one / r[p]
         self.rows[p] = {j: inv * c for j, c in r.items()}
-        return True
 
     def contains(self, v):
         r, p = self.reduce(v)
@@ -369,6 +264,89 @@ class Eliminator:
     @property
     def dim(self):
         return len(self.rows)
+
+
+class Echelon:
+    """Reduced row echelon data for one matrix, reusable for many solves.
+
+    Input row i is augmented with its transform, a 1 at column ncols + i,
+    and run through `Eliminator.reduce`; as matrix columns come first in
+    the column order, a row whose least column is >= ncols has reduced to
+    zero.  Back substitution, rightmost pivot first, then gives the reduced
+    form, and each reduced row is split once into its matrix part (`rows`,
+    as (pivot col, row) in pivot order) and its transform, so that a
+    particular solution or a consistency check against any right-hand side
+    costs one sparse dot product per row.
+    """
+
+    def __init__(self, rows, ncols, field):
+        self.ncols = ncols
+        self.field = field
+        elim = Eliminator(field)
+        self.zero_rows = []  # transforms of rows that reduced to zero
+        for i, r in enumerate(rows):
+            v, p = elim.reduce({**r, ncols + i: field.one})
+            if p < ncols:
+                elim._store(v, p)
+            else:
+                self.zero_rows.append({j - ncols: c for j, c in v.items()})
+        self.pivot_cols = sorted(elim.rows)
+        # back substitution, rightmost pivot first: a pivot row already
+        # cleared above its own pivot adds nothing at the columns cleared
+        for k in range(len(self.pivot_cols) - 1, 0, -1):
+            col = self.pivot_cols[k]
+            prow = elim.rows[col]
+            for above in self.pivot_cols[:k]:
+                row = elim.rows[above]
+                c = row.get(col)
+                if c:
+                    vec_add_scaled(row, prow, -c)
+        self.rows = []
+        self._transforms = []
+        for col in self.pivot_cols:
+            row = elim.rows[col]
+            self.rows.append((col, {j: c for j, c in row.items() if j < ncols}))
+            self._transforms.append({j - ncols: c for j, c in row.items() if j >= ncols})
+        self.rank = len(self.rows)
+        piv = set(self.pivot_cols)
+        self.free_cols = [c for c in range(ncols) if c not in piv]
+
+    def solve(self, b, free_value=0):
+        """One solution x (sparse dict) of M x = b, or None if inconsistent.
+
+        free_value=0 gives the canonical particular solution; any other value
+        assigns that constant to every free variable, producing a second,
+        independent particular solution for well-definedness tests.
+        """
+        for trow in self.zero_rows:
+            if _dot(trow, b):
+                return None
+        fv = self.field.of(free_value)
+        x = {}
+        if fv:
+            for c in self.free_cols:
+                x[c] = fv
+        for (col, row), trow in zip(self.rows, self._transforms):
+            val = _dot(trow, b)
+            if fv:
+                for j, c in row.items():
+                    if j != col:
+                        val = val - c * fv
+            if val:
+                x[col] = val
+        return x
+
+    def kernel_basis(self):
+        """Vectors spanning the nullspace, one per free column, deterministic."""
+        out = []
+        for fc in self.free_cols:
+            v = {fc: self.field.one}
+            for col, row in self.rows:
+                c = row.get(fc)
+                if c:
+                    v[col] = -c
+            out.append(v)
+        return out
 
 
 def extend_to_basis(inside, ambient, field):

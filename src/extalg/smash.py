@@ -7,12 +7,13 @@ R: Y (x) X -> X (x) Y given on basis pairs.  The twisted product on X (x) Y is
     (x1 (x) y1) * (x2 (x) y2) = sum  x1*x' (x) y'*y2   over R(y1 (x) x2) = sum x' (x) y'
 
 `certify_smash` checks normality, unit laws and associativity on all basis
-triples inside the window; `twist_from_factorization` recovers the unique
-twist from two algebra maps into a common algebra whose combined
-multiplication map is bijective in every bidegree; `transport_check` tests
-that the combined multiplication carries a twisted product onto the common
-algebra's product.  The last two serve both the algebra level (the skew
-extension itself) and the Ext level (the factorization of its Ext-algebra).
+triples inside the window; `bijective_solvers` tests that the combined
+multiplication of two algebra maps into a common algebra is bijective in
+every bidegree, and `twist_from_factorization` then recovers the unique
+twist; `transport_check` tests that the combined multiplication carries a
+twisted product onto the common algebra's product.  These serve both the
+algebra level (the skew extension itself) and the Ext level (the
+factorization of its Ext-algebra).
 """
 
 from __future__ import annotations
@@ -153,9 +154,19 @@ def smash_multiply(T: SmashTwist, e1: dict, e2: dict) -> dict:
     return out
 
 
-def _pair_bidegree(pair):
-    (xl, yl) = pair
-    return (xl[0] + yl[0], xl[1] + yl[1])
+def window_pairs(X: ProductTable, Y: ProductTable, N: int, D: int) -> list:
+    """The basis pairs (xl, yl) of X (x) Y inside the (N, D) window.
+
+    Returns [((xl, yl), (n, t))], each pair with its bidegree, X's labels
+    outermost and both in label order.
+    """
+    out = []
+    for xl in X.labels:
+        for yl in Y.labels:
+            n, t = xl[0] + yl[0], xl[1] + yl[1]
+            if n <= N and t <= D:
+                out.append(((xl, yl), (n, t)))
+    return out
 
 
 def certify_smash(T: SmashTwist, N: int, D: int):
@@ -181,32 +192,21 @@ def certify_smash(T: SmashTwist, N: int, D: int):
             return "failed", ("unit law (right factor)", (yl, X.unit))
     T.status = "normal"
 
-    pairs = [
-        (xl, yl)
-        for xl in X.labels
-        for yl in Y.labels
-        if xl[0] + yl[0] <= N and xl[1] + yl[1] <= D
-    ]
+    pairs = window_pairs(X, Y, N, D)
     unit = {(X.unit, Y.unit): one}
-    for p in pairs:
+    for p, _ in pairs:
         e = {p: one}
         if smash_multiply(T, unit, e) != e or smash_multiply(T, e, unit) != e:
             return "failed", ("unit law", p)
     # p2 outermost, so that each p2 * p3 is formed once and serves every p1
-    for p2 in pairs:
-        n2, t2 = _pair_bidegree(p2)
-        e23 = {}
-        for p3 in pairs:
-            n3, t3 = _pair_bidegree(p3)
-            if n2 + n3 <= N and t2 + t3 <= D:
-                e23[p3] = smash_multiply(T, {p2: one}, {p3: one})
-        for p1 in pairs:
-            n1, t1 = _pair_bidegree(p1)
+    for p2, (n2, t2) in pairs:
+        e23 = [(p3, n3, t3, smash_multiply(T, {p2: one}, {p3: one}))
+               for p3, (n3, t3) in pairs if n2 + n3 <= N and t2 + t3 <= D]
+        for p1, (n1, t1) in pairs:
             if n1 + n2 > N or t1 + t2 > D:
                 continue
             e12 = smash_multiply(T, {p1: one}, {p2: one})
-            for p3, right in e23.items():
-                n3, t3 = _pair_bidegree(p3)
+            for p3, n3, t3, right in e23:
                 if n1 + n2 + n3 > N or t1 + t2 + t3 > D:
                     continue
                 if smash_multiply(T, e12, {p3: one}) != smash_multiply(T, {p1: one}, right):
@@ -225,17 +225,10 @@ def transport_check(C: ProductTable, T: SmashTwist, fX: dict, fY: dict,
     ("transport", p1, p2).
     """
     one = C.field.one
-    pairs = [
-        (xl, yl)
-        for xl in T.left.labels
-        for yl in T.right.labels
-        if xl[0] + yl[0] <= N and xl[1] + yl[1] <= D
-    ]
-    image = {p: C.mul(fX[p[0]], fY[p[1]]) for p in pairs}
-    for p1 in pairs:
-        n1, t1 = _pair_bidegree(p1)
-        for p2 in pairs:
-            n2, t2 = _pair_bidegree(p2)
+    pairs = window_pairs(T.left, T.right, N, D)
+    image = {p: C.mul(fX[p[0]], fY[p[1]]) for p, _ in pairs}
+    for p1, (n1, t1) in pairs:
+        for p2, (n2, t2) in pairs:
             if n1 + n2 > N or t1 + t2 > D:
                 continue
             lhs = {}
@@ -280,7 +273,7 @@ def skew_smash_transport_report(A: GradedAlgebra, sigma: GradedMorphism, l: int,
     """Check that A #_R k[z] with the commutation twist is B itself.
 
     The combined multiplication a (x) z^i |-> a*z^i into B's product table
-    must be bijective degree by degree (`twist_from_factorization`), and the
+    must be bijective degree by degree (`bijective_solvers`), and the
     twisted product must transport to B's product on all basis pairs through
     degree D (`transport_check`).  The counterexample is the first failure:
     the smash laws', ("not bijective", bidegree), or the transport's.
@@ -298,7 +291,7 @@ def skew_smash_transport_report(A: GradedAlgebra, sigma: GradedMorphism, l: int,
     fX = {xl: embed(A.basis[xl[1]][xl[2]], xl[1]) for xl in T.left.labels}
     fY = {yl: embed((zi,) * (yl[1] // l), yl[1]) for yl in T.right.labels}
     try:
-        twist_from_factorization(C, fX, fY, T.left, T.right, 0, D)
+        bijective_solvers(C, fX, fY, T.left, T.right, 0, D)
         bijective = True
     except NotAFactorization as e:
         bijective = False
@@ -317,24 +310,20 @@ class NotAFactorization(ValueError):
         super().__init__("no factorization at bidegree %s %s" % (bidegree, reason))
 
 
-def twist_from_factorization(C: ProductTable, fX: dict, fY: dict,
-                             X: ProductTable, Y: ProductTable,
-                             N: int, D: int) -> SmashTwist:
-    """Recover the unique twist making C = X #_R Y through the given maps.
+def bijective_solvers(C: ProductTable, fX: dict, fY: dict,
+                      X: ProductTable, Y: ProductTable, N: int, D: int) -> dict:
+    """Per-bidegree solvers of the combined multiplication, which must be bijective.
 
     fX, fY send basis labels of X resp. Y to vectors in C.  For every
-    bidegree within the window, the combined multiplication (x, y) |->
-    fX(x) fY(y) must be a bijection onto C's piece; R(y (x) x) is then the
-    preimage of fY(y) fX(x), solved bidegree by bidegree.
+    bidegree within the window, (x, y) |-> fX(x) fY(y) must map the basis
+    pairs bijectively onto C's piece; NotAFactorization names the first
+    bidegree where it does not.  Returns {bidegree: (Echelon, pairs, index
+    of C's basis labels)}.
     """
     pairs_at = {}
-    for xl in X.labels:
-        for yl in Y.labels:
-            bd = (xl[0] + yl[0], xl[1] + yl[1])
-            if bd[0] <= N and bd[1] <= D:
-                pairs_at.setdefault(bd, []).append((xl, yl))
+    for p, bd in window_pairs(X, Y, N, D):
+        pairs_at.setdefault(bd, []).append(p)
     solvers = {}
-    c_basis_at = {}
     for bd, pairs in sorted(pairs_at.items()):
         cb = C.basis_at(*bd)
         if len(cb) != len(pairs):
@@ -349,16 +338,23 @@ def twist_from_factorization(C: ProductTable, fX: dict, fY: dict,
         if ech.rank != len(pairs):
             raise NotAFactorization(bd, "(combined multiplication not bijective)")
         solvers[bd] = (ech, pairs, index)
+    return solvers
+
+
+def twist_from_factorization(C: ProductTable, fX: dict, fY: dict,
+                             X: ProductTable, Y: ProductTable,
+                             N: int, D: int) -> SmashTwist:
+    """Recover the unique twist making C = X #_R Y through the given maps.
+
+    The combined multiplication must be bijective (`bijective_solvers`);
+    R(y (x) x) is then the preimage of fY(y) fX(x), solved bidegree by
+    bidegree, with Y's labels outermost within each bidegree.
+    """
+    yi = {yl: i for i, yl in enumerate(Y.labels)}
     twist = {}
-    for bd, (ech, pairs, index) in solvers.items():
-        for yl in Y.labels:
-            for xl in X.labels:
-                if (xl[0] + yl[0], xl[1] + yl[1]) != bd:
-                    continue
-                vec = C.mul(fY[yl], fX[xl])
-                b = {index[lab]: c for lab, c in vec.items()}
-                sol = ech.solve(b)
-                if sol is None:
-                    raise NotAFactorization(bd, "(image not in the span)")
-                twist[(yl, xl)] = {pairs[j]: c for j, c in sol.items() if c}
+    for ech, pairs, index in bijective_solvers(C, fX, fY, X, Y, N, D).values():
+        for xl, yl in sorted(pairs, key=lambda p: yi[p[1]]):
+            vec = C.mul(fY[yl], fX[xl])
+            sol = ech.solve({index[lab]: c for lab, c in vec.items()})
+            twist[(yl, xl)] = {pairs[j]: c for j, c in sol.items() if c}
     return SmashTwist(X, Y, twist)

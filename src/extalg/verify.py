@@ -68,11 +68,13 @@ from .smash import (
     NotAFactorization,
     ProductTable,
     SmashTwist,
+    bijective_solvers,
     certify_smash,
     ext_product_table,
     smash_multiply,
     transport_check,
     twist_from_factorization,
+    window_pairs,
 )
 
 
@@ -351,7 +353,7 @@ def _check_smash_table(obj) -> SubCheck:
     for name, maps in (("m1", (fX, fY, TZ, TA)), ("m2", (fY, fX, TA, TZ))):
         try:
             if name == "m2" or R is None:
-                twist_from_factorization(TB, *maps, N, D)
+                bijective_solvers(TB, *maps, N, D)
             details.append("%s bijective" % name)
         except NotAFactorization as e:
             ok = False
@@ -584,10 +586,8 @@ def frobenius_form_crosscheck(report: FactorizationReport) -> dict:
             return field.zero
         return TZ.mul_basis(g1, g2).get(topZ, field.zero)
 
-    pairs = [
-        (xl, yl) for xl in TZ.labels for yl in TA.labels
-        if xl[0] + yl[0] <= report.N and xl[1] + yl[1] <= report.D
-    ]
+    window = window_pairs(TZ, TA, report.N, report.D)
+    pairs = [p for p, _ in window]
 
     def form(p1, p2):
         (g1, f1), (g2, f2) = p1, p2
@@ -612,12 +612,10 @@ def frobenius_form_crosscheck(report: FactorizationReport) -> dict:
     # associativity of the form on certified triples: <ab, c> == <a, bc>
     one = field.one
     assoc = True
-    for p1 in pairs:
-        for p2 in pairs:
-            for p3 in pairs:
-                nsum = sum(q[0][0] + q[1][0] for q in (p1, p2, p3))
-                tsum = sum(q[0][1] + q[1][1] for q in (p1, p2, p3))
-                if nsum > report.N or tsum > report.D:
+    for p1, (n1, t1) in window:
+        for p2, (n2, t2) in window:
+            for p3, (n3, t3) in window:
+                if n1 + n2 + n3 > report.N or t1 + t2 + t3 > report.D:
                     continue
                 ab = smash_multiply(R, {p1: one}, {p2: one})
                 bc = smash_multiply(R, {p2: one}, {p3: one})

@@ -212,3 +212,30 @@ def yoneda_product_dense(E, lifts, g, f):
             if acc:
                 out[pos] = out[pos] + c * acc
     return ExtClass(n, t, tuple(out))
+
+
+def rref_dense(matrix, field):
+    """Textbook Gauss-Jordan on a dense matrix (a list of equal-length lists).
+
+    Returns (the nonzero rows of the reduced row echelon form, pivot
+    columns).  It shares no code with `linalg`: columns are scanned left to
+    right, rows are swapped and every other row is cleared at each pivot.
+    """
+    work = [list(r) for r in matrix]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    top = 0
+    for col in range(ncols):
+        hit = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if hit is None:
+            continue
+        work[top], work[hit] = work[hit], work[top]
+        inv = field.one / work[top][col]
+        work[top] = [inv * c for c in work[top]]
+        for i in range(len(work)):
+            if i != top and work[i][col]:
+                f = work[i][col]
+                work[i] = [c - f * d for c, d in zip(work[i], work[top])]
+        pivots.append(col)
+        top += 1
+    return work[:top], pivots

@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, text and JSON output, file round trips."""
 
+import itertools
 import json
+import random
+import time
 
 import pytest
 
@@ -231,3 +234,72 @@ def test_large_prime_field_exit_codes(files, capsys, tmp_path):
     composite.write_text("field F%d\ngens x:1\n" % (1000000007 * 998244353))
     assert main(["ext", str(composite)]) == 1
     assert "not prime" in capsys.readouterr().err
+
+
+def _random_poly(rng, names, degs, d):
+    words = [w for k in range(1, d + 1) for w in itertools.product(names, repeat=k)
+             if sum(degs[g] for g in w) == d]
+    if not words:
+        return None
+    out = ""
+    for w in rng.sample(words, min(len(words), rng.randint(1, 3))):
+        c = rng.choice((1, 1, 2, 3, -1, -2))
+        out += "%s %d*%s" % ("-" if c < 0 else "+", abs(c), "*".join(w))
+    return out.lstrip("+ ")
+
+
+def _random_case(rng):
+    """A random small presentation and a random (often invalid) automorphism."""
+    field = rng.choice(("Q", "F2", "F3", "F5"))
+    names = ["x", "y", "w"][:rng.randint(1, 3)]
+    degs = {g: 1 for g in names}
+    if len(names) > 1 and rng.random() < 0.3:
+        degs[names[-1]] = 2
+    rels = [_random_poly(rng, names, degs, rng.choice((2, 3))) for _ in range(rng.randint(0, 2))]
+    pres = "field %s\ngens %s\n" % (field, " ".join("%s:%d" % (g, degs[g]) for g in names))
+    pres += "".join("rel %s\n" % r for r in rels if r)
+    kind = rng.choice(("identity", "scaling", "random"))
+    images = {g: g if kind == "identity" else "%d*%s" % (rng.randint(1, 4), g)
+              for g in names}
+    if kind == "random":
+        images = {g: _random_poly(rng, names, degs, degs[g]) or g for g in names}
+    return pres, "".join("%s -> %s\n" % (g, images[g]) for g in names)
+
+
+MALFORMED = [
+    "",
+    "gens x:1\n",
+    "field Q\n",
+    "field F4\ngens x:1\n",
+    "field Q\ngens x:0\n",
+    "field Q\ngens x\n",
+    "field Q\ngens x:1\nrel x^2 + x\n",
+    "field Q\ngens x:1\nrel x*q\n",
+    "field Q\ngens x:1\nrel x^^2\n",
+    "\x00\xff binary",
+]
+
+
+def test_cli_fuzz_no_traceback(tmp_path, capsys):
+    """Random small inputs through every subcommand end in a clean exit code."""
+    rng = random.Random(20240517)
+    cases = [_random_case(rng) for _ in range(40)]
+    cases += [(text, "x -> x\n") for text in MALFORMED]
+    cases.append(("field Q\ngens x:1 y:1\n", "x -> y\ny -> q\n"))
+    t0 = time.monotonic()
+    for i, (pres, auto) in enumerate(cases):
+        pfile, afile = tmp_path / ("%d.pres" % i), tmp_path / ("%d.auto" % i)
+        pfile.write_text(pres)
+        afile.write_text(auto)
+        window = ["--maxcoh", str(rng.choice((2, 3))), "--maxdeg", str(rng.choice((3, 4)))]
+        for argv in (["ext", "--products"], ["skew", "--auto", str(afile)],
+                     ["verify", "--auto", str(afile)], ["frobenius"], ["kp", "--p", "1"]):
+            argv = [argv[0], str(pfile)] + argv[1:] + window
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse usage errors
+                code = e.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (argv, pres, auto, code)
+            assert "Traceback" not in err, (argv, pres, auto)
+    assert time.monotonic() - t0 < 10

@@ -14,11 +14,8 @@ from extalg.linalg import (
     RationalField,
     extend_to_basis,
     field_by_name,
-    kernel_basis,
-    rank,
-    rref,
-    solve,
 )
+from oracles import rref_dense
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -27,6 +24,12 @@ F5 = PrimeField(5)
 
 def dense(rows, ncols, field):
     return [[r.get(j, field.zero) for j in range(ncols)] for r in rows]
+
+
+def reduced(rows, ncols, field):
+    """The reduced rows of Echelon in pivot order, and the pivot columns."""
+    ech = Echelon(rows, ncols, field)
+    return [row for _, row in ech.rows], ech.pivot_cols
 
 
 def test_field_by_name():
@@ -76,14 +79,14 @@ def test_mod_arithmetic():
 
 def test_rref_identity():
     rows = [{0: Q.one}, {1: Q.one}]
-    red, pivots = rref(rows, 2, Q)
+    red, pivots = reduced(rows, 2, Q)
     assert pivots == [0, 1]
     assert dense(red, 2, Q) == [[1, 0], [0, 1]]
 
 
 def test_rref_rank_one():
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
-    red, pivots = rref(rows, 2, Q)
+    red, pivots = reduced(rows, 2, Q)
     assert pivots == [0]
     assert dense(red, 2, Q) == [[1, 2]]
 
@@ -91,7 +94,7 @@ def test_rref_rank_one():
 def test_rref_gf2():
     # [[1,1],[1,2]] over GF(2) reduces to the identity
     rows = [{0: F2.one, 1: F2.one}, {0: F2.one, 1: F2.of(2)}]
-    red, pivots = rref(rows, 2, F2)
+    red, pivots = reduced(rows, 2, F2)
     assert pivots == [0, 1]
     assert dense(red, 2, F2) == [[F2.one, F2.zero], [F2.zero, F2.one]]
 
@@ -99,30 +102,30 @@ def test_rref_gf2():
 def test_rref_idempotent():
     rows = [{0: Fraction(2), 1: Fraction(4), 2: Fraction(1)},
             {0: Fraction(1), 2: Fraction(3)}]
-    red, _ = rref(rows, 3, Q)
-    again, _ = rref(red, 3, Q)
+    red, _ = reduced(rows, 3, Q)
+    again, _ = reduced(red, 3, Q)
     assert dense(red, 3, Q) == dense(again, 3, Q)
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel_basis([{}, {}], 3, Q)) == 3
+    assert len(Echelon([{}, {}], 3, Q).kernel_basis()) == 3
 
 
 def test_kernel_single_equation():
-    (v,) = kernel_basis([{0: Fraction(1), 1: Fraction(2)}], 2, Q)
+    (v,) = Echelon([{0: Fraction(1), 1: Fraction(2)}], 2, Q).kernel_basis()
     # proportional to (-2, 1)
     assert v[0] / v[1] == Fraction(-2)
 
 
 def test_solve_identity_and_inconsistent():
     rows = [{0: Q.one}, {1: Q.one}]
-    assert solve(rows, 2, {0: Fraction(5), 1: Fraction(-1)}, Q) == {0: 5, 1: -1}
-    assert solve([{}], 1, {0: Fraction(1)}, Q) is None
+    assert Echelon(rows, 2, Q).solve({0: Fraction(5), 1: Fraction(-1)}) == {0: 5, 1: -1}
+    assert Echelon([{}], 1, Q).solve({0: Fraction(1)}) is None
 
 
 def test_solve_underdetermined_verifies():
     rows = [{0: Fraction(1), 1: Fraction(1)}]
-    x = solve(rows, 2, {0: Fraction(2)}, Q)
+    x = Echelon(rows, 2, Q).solve({0: Fraction(2)})
     assert sum(x.get(j, Fraction(0)) for j in range(2)) == 2
 
 
@@ -208,7 +211,7 @@ def test_solve_reproduces_rhs(mat, data):
     x = {j: Fraction(data.draw(st.integers(-3, 3))) for j in range(ncols)}
     x = {j: c for j, c in x.items() if c}
     b = mat_vec(rows, x, Q)
-    got = solve(rows, ncols, b, Q)
+    got = Echelon(rows, ncols, Q).solve(b)
     assert got is not None
     assert mat_vec(rows, got, Q) == b
 
@@ -217,9 +220,71 @@ def test_solve_reproduces_rhs(mat, data):
 @given(sparse_matrix(Q))
 def test_rank_deterministic_and_rref_idempotent(mat):
     rows, ncols = mat
-    assert rank(rows, ncols, Q) == rank(rows, ncols, Q)
-    red, piv = rref(rows, ncols, Q)
-    red2, piv2 = rref(red, ncols, Q)
+    assert Echelon(rows, ncols, Q).rank == Echelon(rows, ncols, Q).rank
+    red, piv = reduced(rows, ncols, Q)
+    red2, piv2 = reduced(red, ncols, Q)
     assert piv == piv2
     assert dense(red, ncols, Q) == dense(red2, ncols, Q)
     assert piv == sorted(piv)
+
+
+@st.composite
+def degenerate_matrix(draw, field):
+    """A sparse matrix with zero, duplicate and dependent rows mixed in."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    rows = []
+    for _ in range(nrows):
+        row = {j: field.of(v) for j in range(ncols) if (v := draw(entry))}
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "combination")))
+        new = {}
+        if kind == "duplicate":
+            new = dict(draw(st.sampled_from(rows)))
+        elif kind == "combination":
+            for src in (draw(st.sampled_from(rows)), draw(st.sampled_from(rows))):
+                c = field.of(draw(st.integers(1, 3)))
+                for j, v in src.items():
+                    new[j] = new.get(j, field.zero) + c * v
+            new = {j: v for j, v in new.items() if v}
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, ncols
+
+
+def reference_solve(rows, ncols, b, field, free_value):
+    """Particular solution read off the dense RREF of [M | b], or None."""
+    aug = [r + [b.get(i, field.zero)] for i, r in enumerate(dense(rows, ncols, field))]
+    red, pivots = rref_dense(aug, field)
+    if ncols in pivots:
+        return None
+    fv = field.of(free_value)
+    x = {j: fv for j in range(ncols) if j not in pivots}
+    for row, col in zip(red, pivots):
+        val = row[ncols]
+        for j in x:
+            val = val - row[j] * fv
+        x[col] = val
+    return {j: v for j, v in x.items() if v}
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_echelon_matches_dense_gauss_jordan(field, data):
+    rows, ncols = data.draw(degenerate_matrix(field))
+    ech = Echelon(rows, ncols, field)
+    red, pivots = rref_dense(dense(rows, ncols, field), field)
+    assert ech.pivot_cols == pivots
+    assert dense([row for _, row in ech.rows], ncols, field) == red
+    value = st.integers(-3, 3).map(field.of)
+    x = {j: v for j in range(ncols) if (v := data.draw(value))}
+    inside = mat_vec(rows, x, field)
+    anywhere = {i: v for i in range(len(rows)) if (v := data.draw(value))}
+    for b in (inside, anywhere):
+        for fv in (0, 1):
+            want = reference_solve(rows, ncols, b, field, fv)
+            assert ech.solve(b, free_value=fv) == want
+        if b is inside:
+            assert want is not None
