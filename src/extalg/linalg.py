@@ -291,16 +291,13 @@ class Echelon:
             else:
                 self.zero_rows.append({j - ncols: c for j, c in v.items()})
         self.pivot_cols = sorted(elim.rows)
-        # back substitution, rightmost pivot first: a pivot row already
-        # cleared above its own pivot adds nothing at the columns cleared
-        for k in range(len(self.pivot_cols) - 1, 0, -1):
-            col = self.pivot_cols[k]
-            prow = elim.rows[col]
-            for above in self.pivot_cols[:k]:
-                row = elim.rows[above]
-                c = row.get(col)
-                if c:
-                    vec_add_scaled(row, prow, -c)
+        # back substitution, rightmost pivot first: the rows subtracted are
+        # then reduced already, with no entry at another pivot column, so
+        # each row clears the pivot columns it holds at the start
+        for col in reversed(self.pivot_cols):
+            row = elim.rows[col]
+            for j in [j for j in row if j != col and j in elim.rows]:
+                vec_add_scaled(row, elim.rows[j], -row[j])
         self.rows = []
         self._transforms = []
         for col in self.pivot_cols:
@@ -308,8 +305,7 @@ class Echelon:
             self.rows.append((col, {j: c for j, c in row.items() if j < ncols}))
             self._transforms.append({j - ncols: c for j, c in row.items() if j >= ncols})
         self.rank = len(self.rows)
-        piv = set(self.pivot_cols)
-        self.free_cols = [c for c in range(ncols) if c not in piv]
+        self.free_cols = [c for c in range(ncols) if c not in elim.rows]
 
     def solve(self, b, free_value=0):
         """One solution x (sparse dict) of M x = b, or None if inconsistent.
@@ -338,15 +334,12 @@ class Echelon:
 
     def kernel_basis(self):
         """Vectors spanning the nullspace, one per free column, deterministic."""
-        out = []
-        for fc in self.free_cols:
-            v = {fc: self.field.one}
-            for col, row in self.rows:
-                c = row.get(fc)
-                if c:
-                    v[col] = -c
-            out.append(v)
-        return out
+        out = {fc: {fc: self.field.one} for fc in self.free_cols}
+        for col, row in self.rows:
+            for j, c in row.items():
+                if j != col:  # a free column: the pivot columns are cleared
+                    out[j][col] = -c
+        return list(out.values())
 
 
 def extend_to_basis(inside, ambient, field):

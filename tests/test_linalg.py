@@ -278,6 +278,9 @@ def test_echelon_matches_dense_gauss_jordan(field, data):
     red, pivots = rref_dense(dense(rows, ncols, field), field)
     assert ech.pivot_cols == pivots
     assert dense([row for _, row in ech.rows], ncols, field) == red
+    kernel = [{fc: field.one} | {col: -row[fc] for row, col in zip(red, pivots) if row[fc]}
+              for fc in range(ncols) if fc not in pivots]
+    assert ech.kernel_basis() == kernel
     value = st.integers(-3, 3).map(field.of)
     x = {j: v for j in range(ncols) if (v := data.draw(value))}
     inside = mat_vec(rows, x, field)
