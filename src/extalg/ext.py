@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, GradedMorphism, TruncationError
-from .complexes import FreeComplex, poly_times_element, twist_complex
+from .complexes import FreeComplex, poly_times_element
 from .linalg import vec_add_scaled
 
 
@@ -335,22 +335,11 @@ class ExtAutomorphism(ExtMap):
 
 def induced_ext_automorphism(ext: ExtAlgebra, sigma: GradedMorphism,
                              free_value=0) -> ExtAutomorphism:
-    """The automorphism of Ext induced by an algebra automorphism.
-
-    A chain isomorphism from the twisted resolution to the resolution is
-    solved for (base component: the automorphism itself, i.e. the identity on
-    generators after normalization), and the dual of its generator-level part
-    acts on each bidegree of Ext.
-    """
+    """The automorphism of Ext induced by an algebra automorphism: the functor
+    map E(sigma), lifted from the resolution to itself along sigma."""
     if sigma.inverse is None:
         raise ValueError("need a certified automorphism")
-    P = ext.resolution
-    src = twist_complex(P, sigma.inverse)  # entries pass through sigma
-    base = [{(0, ()): ext.algebra.field.one}]
-    comps = lift_chain_map(src, P, 0, base, down_to=-ext.N, free_value=free_value)
-    blocks = {(n, t): _dual_block(comps.get(-n), idx, idx)
-              for (n, t), idx in ext.bidegrees.items()}
-    return ExtAutomorphism(ext, blocks)
+    return ExtAutomorphism(ext, ext_functor_map(sigma, ext, ext, free_value).blocks)
 
 
 def canonical_z_class(ext_z: ExtAlgebra, l: int) -> ExtClass:

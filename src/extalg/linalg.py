@@ -171,6 +171,8 @@ class PrimeField:
                 raise ValueError("wrong characteristic")
             return x
         if isinstance(x, Fraction):
+            if x.denominator % self.char == 0:
+                raise ValueError("coefficient %s is not defined in %s" % (x, self.name))
             return Mod(x.numerator, self.char) / Mod(x.denominator, self.char)
         return Mod(x, self.char)
 

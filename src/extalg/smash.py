@@ -6,14 +6,17 @@ R: Y (x) X -> X (x) Y given on basis pairs.  The twisted product on X (x) Y is
 
     (x1 (x) y1) * (x2 (x) y2) = sum  x1*x' (x) y'*y2   over R(y1 (x) x2) = sum x' (x) y'
 
-`certify_smash` checks normality, unit laws and associativity on all basis
-triples inside the window; `bijective_solvers` tests that the combined
-multiplication of two algebra maps into a common algebra is bijective in
-every bidegree, and `twist_from_factorization` then recovers the unique
-twist; `transport_check` tests that the combined multiplication carries a
-twisted product onto the common algebra's product.  These serve both the
-algebra level (the skew extension itself) and the Ext level (the
-factorization of its Ext-algebra).
+`smash_table` tabulates the twisted product on the basis pairs inside the
+window, each basis product formed once; `certify_smash` checks normality,
+then unit laws and associativity on all basis triples, from that table.
+`bijective_solvers` tests that the combined multiplication of two algebra
+maps into a common algebra is bijective in every bidegree, and
+`twist_from_factorization` then recovers the unique twist.
+`first_nonmultiplicative` finds the first basis product that a linear map of
+product tables does not preserve; `transport_check` uses it to test that the
+combined multiplication carries a twisted product onto the common algebra's
+product.  These serve both the algebra level (the skew extension itself) and
+the Ext level (the factorization of its Ext-algebra).
 """
 
 from __future__ import annotations
@@ -26,24 +29,30 @@ from .linalg import Echelon, vec_add_scaled
 
 @dataclass
 class ProductTable:
-    """Structure constants of a bigraded algebra on a finite basis window."""
+    """Structure constants of a bigraded algebra on a finite basis window.
+
+    A label is (n, t, k), or a basis pair (xl, yl) of two such labels in a
+    twisted product, whose bidegree is the sum of theirs.
+    """
 
     field: object
-    labels: list                     # ordered (n, t, k)
+    labels: list                     # ordered (n, t, k) or ((n, t, k), (n', t', k'))
     unit: tuple
     products: dict                   # (la, lb) -> {label: scalar}, certified pairs only
     window: tuple                    # (N, D)
 
     def __post_init__(self):
+        self.bidegree = {lab: (lab[0][0] + lab[1][0], lab[0][1] + lab[1][1])
+                         if isinstance(lab[0], tuple) else lab[:2] for lab in self.labels}
         self.dims = {}
-        for (n, t, _k) in self.labels:
-            self.dims[(n, t)] = self.dims.get((n, t), 0) + 1
+        for bd in self.bidegree.values():
+            self.dims[bd] = self.dims.get(bd, 0) + 1
 
     def dim(self, n, t):
         return self.dims.get((n, t), 0)
 
     def basis_at(self, n, t):
-        return [lab for lab in self.labels if lab[0] == n and lab[1] == t]
+        return [lab for lab in self.labels if self.bidegree[lab] == (n, t)]
 
     def unit_vector(self):
         return {self.unit: self.field.one}
@@ -169,6 +178,21 @@ def window_pairs(X: ProductTable, Y: ProductTable, N: int, D: int) -> list:
     return out
 
 
+def smash_table(T: SmashTwist, N: int, D: int) -> ProductTable:
+    """The twisted product of T on the basis pairs inside the (N, D) window.
+
+    Labels are the pairs in `window_pairs` order; every product of two of
+    them that stays inside the window is formed once, by `smash_multiply`.
+    """
+    X, Y = T.left, T.right
+    one = X.field.one
+    pairs = window_pairs(X, Y, N, D)
+    products = {(p1, p2): smash_multiply(T, {p1: one}, {p2: one})
+                for p1, (n1, t1) in pairs for p2, (n2, t2) in pairs
+                if n1 + n2 <= N and t1 + t2 <= D}
+    return ProductTable(X.field, [p for p, _ in pairs], (X.unit, Y.unit), products, (N, D))
+
+
 def certify_smash(T: SmashTwist, N: int, D: int):
     """Check bigradedness, normality, unit law and associativity on the window.
 
@@ -192,27 +216,41 @@ def certify_smash(T: SmashTwist, N: int, D: int):
             return "failed", ("unit law (right factor)", (yl, X.unit))
     T.status = "normal"
 
-    pairs = window_pairs(X, Y, N, D)
-    unit = {(X.unit, Y.unit): one}
-    for p, _ in pairs:
+    S = smash_table(T, N, D)
+    for p in S.labels:
         e = {p: one}
-        if smash_multiply(T, unit, e) != e or smash_multiply(T, e, unit) != e:
+        if S.mul_basis(S.unit, p) != e or S.mul_basis(p, S.unit) != e:
             return "failed", ("unit law", p)
-    # p2 outermost, so that each p2 * p3 is formed once and serves every p1
-    for p2, (n2, t2) in pairs:
-        e23 = [(p3, n3, t3, smash_multiply(T, {p2: one}, {p3: one}))
-               for p3, (n3, t3) in pairs if n2 + n3 <= N and t2 + t3 <= D]
-        for p1, (n1, t1) in pairs:
-            if n1 + n2 > N or t1 + t2 > D:
+    # p2 outermost, then p1, then p3: this order decides which failing
+    # triple is reported
+    for p2 in S.labels:
+        n2, t2 = S.bidegree[p2]
+        right = [(p3, S.bidegree[p3], S.mul_basis(p2, p3))
+                 for p3 in S.labels if (p2, p3) in S.products]
+        for p1 in S.labels:
+            if (p1, p2) not in S.products:
                 continue
-            e12 = smash_multiply(T, {p1: one}, {p2: one})
-            for p3, n3, t3, right in e23:
+            n1, t1 = S.bidegree[p1]
+            e12 = S.mul_basis(p1, p2)
+            for p3, (n3, t3), e23 in right:
                 if n1 + n2 + n3 > N or t1 + t2 + t3 > D:
                     continue
-                if smash_multiply(T, e12, {p3: one}) != smash_multiply(T, {p1: one}, right):
+                if S.mul(e12, {p3: one}) != S.mul({p1: one}, e23):
                     return "failed", ("associativity", (p1, p2, p3))
     T.status = "smash-certified-to-(%d,%d)" % (N, D)
     return T.status, None
+
+
+def first_nonmultiplicative(S: ProductTable, C: ProductTable, image: dict):
+    """The first basis product (a, b) of S, in table order, with
+    image(a*b) != image(a) image(b), or None; `image` sends S's labels into C."""
+    for (a, b), prod in S.products.items():
+        lhs = {}
+        for lab, c in prod.items():
+            vec_add_scaled(lhs, image[lab], c)
+        if lhs != C.mul(image[a], image[b]):
+            return a, b
+    return None
 
 
 def transport_check(C: ProductTable, T: SmashTwist, fX: dict, fY: dict,
@@ -224,19 +262,9 @@ def transport_check(C: ProductTable, T: SmashTwist, fX: dict, fY: dict,
     window: m(p1 * p2) == m(p1) m(p2).  Returns None, or the first failing
     ("transport", p1, p2).
     """
-    one = C.field.one
-    pairs = window_pairs(T.left, T.right, N, D)
-    image = {p: C.mul(fX[p[0]], fY[p[1]]) for p, _ in pairs}
-    for p1, (n1, t1) in pairs:
-        for p2, (n2, t2) in pairs:
-            if n1 + n2 > N or t1 + t2 > D:
-                continue
-            lhs = {}
-            for p, c in smash_multiply(T, {p1: one}, {p2: one}).items():
-                vec_add_scaled(lhs, image[p], c)
-            if lhs != C.mul(image[p1], image[p2]):
-                return ("transport", p1, p2)
-    return None
+    S = smash_table(T, N, D)
+    bad = first_nonmultiplicative(S, C, {p: C.mul(fX[p[0]], fY[p[1]]) for p in S.labels})
+    return None if bad is None else ("transport",) + bad
 
 
 def skew_commutation_twist(A: GradedAlgebra, sigma: GradedMorphism, l: int,

@@ -63,7 +63,7 @@ from .ext import (
     ext_functor_map,
     induced_ext_automorphism,
 )
-from .linalg import Echelon, Eliminator, vec_add_scaled
+from .linalg import Echelon, Eliminator
 from .smash import (
     NotAFactorization,
     ProductTable,
@@ -71,10 +71,10 @@ from .smash import (
     bijective_solvers,
     certify_smash,
     ext_product_table,
-    smash_multiply,
+    first_nonmultiplicative,
+    smash_table,
     transport_check,
     twist_from_factorization,
-    window_pairs,
 )
 
 
@@ -319,15 +319,10 @@ def _check_f_times_z(obj) -> SubCheck:
         for lab, cls in _classes(obj, z_part=True))
     products_ok = bad is None
     tau_of = {lab: tau.apply(EA.basis_class(*lab)).label_vector() for lab in TA.labels}
-    tau_mult = True
-    for (la, lb), prod in TA.products.items():
-        lhs = {}
-        for lab, c in prod.items():
-            vec_add_scaled(lhs, tau_of[lab], c)
-        if lhs != TA.mul(tau_of[la], tau_of[lb]):
-            tau_mult = False
-            bad = bad or ("tau not multiplicative", la, lb)
-            break
+    bad_tau = first_nonmultiplicative(TA, TA, tau_of)
+    tau_mult = bad_tau is None
+    if not tau_mult:
+        bad = bad or ("tau not multiplicative",) + bad_tau
     return SubCheck(
         "f_times_z", "f * z-class = tau(f) on the z-part, tau a bigraded "
         "algebra automorphism",
@@ -573,21 +568,17 @@ def frobenius_form_crosscheck(report: FactorizationReport) -> dict:
     vZ = frobenius_check(TZ, finZ)
     if vA.status != "frobenius" or vZ.status != "frobenius":
         return {"applicable": False, "reason": "a factor is not certified Frobenius"}
-    topA = TA.basis_at(*vA.top)[0]
-    topZ = TZ.basis_at(*vZ.top)[0]
 
-    def pairA(f1, f2):
-        if (f1[0] + f2[0], f1[1] + f2[1]) != vA.top:
-            return field.zero
-        return TA.mul_basis(f1, f2).get(topA, field.zero)
+    def pairing(T, v):
+        """<a, b> on a Frobenius factor: the coefficient of a*b on its top class."""
+        top = T.basis_at(*v.top)[0]
+        return lambda a, b: (T.mul_basis(a, b).get(top, field.zero)
+                             if (a[0] + b[0], a[1] + b[1]) == v.top else field.zero)
 
-    def pairZ(g1, g2):
-        if (g1[0] + g2[0], g1[1] + g2[1]) != vZ.top:
-            return field.zero
-        return TZ.mul_basis(g1, g2).get(topZ, field.zero)
+    pairA, pairZ = pairing(TA, vA), pairing(TZ, vZ)
 
-    window = window_pairs(TZ, TA, report.N, report.D)
-    pairs = [p for p, _ in window]
+    S = smash_table(R, report.N, report.D)
+    pairs, bd = S.labels, S.bidegree
 
     def form(p1, p2):
         (g1, f1), (g2, f2) = p1, p2
@@ -610,22 +601,11 @@ def frobenius_form_crosscheck(report: FactorizationReport) -> dict:
     nondeg = Echelon(rows, len(pairs), field).rank == len(pairs)
 
     # associativity of the form on certified triples: <ab, c> == <a, bc>
-    one = field.one
-    assoc = True
-    for p1, (n1, t1) in window:
-        for p2, (n2, t2) in window:
-            for p3, (n3, t3) in window:
-                if n1 + n2 + n3 > report.N or t1 + t2 + t3 > report.D:
-                    continue
-                ab = smash_multiply(R, {p1: one}, {p2: one})
-                bc = smash_multiply(R, {p2: one}, {p3: one})
-                lhs = field.zero
-                for q, c in ab.items():
-                    lhs = lhs + c * form(q, p3)
-                rhs = field.zero
-                for q, c in bc.items():
-                    rhs = rhs + c * form(p1, q)
-                if lhs != rhs:
-                    assoc = False
+    assoc = all(
+        sum((c * form(q, p3) for q, c in S.mul_basis(p1, p2).items()), field.zero)
+        == sum((c * form(p1, q) for q, c in S.mul_basis(p2, p3).items()), field.zero)
+        for p1 in pairs for p2 in pairs for p3 in pairs
+        if bd[p1][0] + bd[p2][0] + bd[p3][0] <= report.N
+        and bd[p1][1] + bd[p2][1] + bd[p3][1] <= report.D)
     return {"applicable": True, "nondegenerate": nondeg, "associative": assoc,
             "passed": nondeg and assoc}

@@ -6,8 +6,17 @@ dimensions of a quotient come from spanning the ideal inside the free
 algebra.  Both are exponential-ish and only meant for desk-scale windows.
 """
 
-from extalg import ExtClass, internal_shift, lift_chain_map, shift_complex
+from extalg import (
+    ExtClass,
+    internal_shift,
+    lift_chain_map,
+    shift_complex,
+    smash_multiply,
+    twist_complex,
+)
+from extalg.ext import _dual_block
 from extalg.linalg import Echelon, Eliminator
+from extalg.smash import window_pairs
 
 
 def quotient_dimension(presentation, d):
@@ -169,6 +178,21 @@ def apply_automorphism_dense(blocks, cls, zero):
     return ExtClass(cls.n, cls.t, tuple(out))
 
 
+def twisted_complex_automorphism(E, sigma, free_value=0):
+    """The blocks of the automorphism of Ext induced by sigma, through the twisted complex.
+
+    The resolution's twist through sigma is built as its own complex (every
+    differential entry passed through sigma) and a chain map from it to the
+    resolution is lifted from the identity on the generator in position 0.
+    Returns {(n, t): sparse columns}, as `ExtMap.blocks`.
+    """
+    P = E.resolution
+    src = twist_complex(P, sigma.inverse)
+    base = [{(0, ()): E.algebra.field.one}]
+    comps = lift_chain_map(src, P, 0, base, down_to=-E.N, free_value=free_value)
+    return {(n, t): _dual_block(comps.get(-n), idx, idx) for (n, t), idx in E.bidegrees.items()}
+
+
 def shifted_lifts(E, free_value=0):
     """Lifts of every dual-basis cocycle against P[n](t) built as a complex.
 
@@ -239,3 +263,47 @@ def rref_dense(matrix, field):
         pivots.append(col)
         top += 1
     return work[:top], pivots
+
+
+# ---------------------------------------------------------------------------
+# smash-product laws by direct multiplication
+# ---------------------------------------------------------------------------
+
+def certify_smash_direct(T, N, D):
+    """As `certify_smash`, multiplying combinations directly with `smash_multiply`.
+
+    Every product (p1 * p2) * p3 and p1 * (p2 * p3) is formed afresh from the
+    twist, with no product table; the checks run in the same order (twist
+    bigradedness, the twist's unit rows, the unit law on every window pair,
+    then associativity with p2 outermost, then p1, then p3), so the first
+    counterexample is the same.  T.status is left alone.
+    """
+    X, Y = T.left, T.right
+    one = X.field.one
+    for (yl, xl), image in T.twist.items():
+        want = (xl[0] + yl[0], xl[1] + yl[1])
+        for (xm, ym), c in image.items():
+            if c and (xm[0] + ym[0], xm[1] + ym[1]) != want:
+                return "failed", ("not bigraded", (yl, xl))
+    for xl in X.labels:
+        if T.apply(Y.unit, xl) != {(xl, Y.unit): one}:
+            return "failed", ("unit law (left factor)", (Y.unit, xl))
+    for yl in Y.labels:
+        if T.apply(yl, X.unit) != {(X.unit, yl): one}:
+            return "failed", ("unit law (right factor)", (yl, X.unit))
+    pairs = window_pairs(X, Y, N, D)
+    unit = {(X.unit, Y.unit): one}
+    for p, _ in pairs:
+        e = {p: one}
+        if smash_multiply(T, unit, e) != e or smash_multiply(T, e, unit) != e:
+            return "failed", ("unit law", p)
+    for p2, (n2, t2) in pairs:
+        for p1, (n1, t1) in pairs:
+            for p3, (n3, t3) in pairs:
+                if n1 + n2 + n3 > N or t1 + t2 + t3 > D:
+                    continue
+                left = smash_multiply(T, smash_multiply(T, {p1: one}, {p2: one}), {p3: one})
+                right = smash_multiply(T, {p1: one}, smash_multiply(T, {p2: one}, {p3: one}))
+                if left != right:
+                    return "failed", ("associativity", (p1, p2, p3))
+    return "smash-certified-to-(%d,%d)" % (N, D), None

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extalg import (
-    FreeAlgebra,
     GradedAlgebra,
     Generator,
     MorphismError,
@@ -18,7 +17,6 @@ from extalg import (
     morphism_from_images,
     parse_poly,
     parse_presentation,
-    Presentation,
     polynomial_algebra_presentation,
     skew_extension,
 )
@@ -26,6 +24,7 @@ from extalg.algebra import reduce_poly
 from extalg.linalg import PrimeField, RationalField
 
 from oracles import quotient_dimension
+from strategies import presentations
 
 
 def test_quantum_plane_groebner_single_element(qplane):
@@ -210,32 +209,8 @@ def test_polynomial_algebra_presentation():
 
 # -- the word normal-form memo ---------------------------------------------
 
-_FIELDS = {"Q": RationalField(), "F5": PrimeField(5)}
-
-
-@st.composite
-def _presentations(draw):
-    """2 or 3 generators (one may have degree 2) and 1-2 random relations."""
-    field = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
-    degs = draw(st.lists(st.sampled_from([1, 1, 2]), min_size=2, max_size=3))
-    gens = tuple(Generator("g%d" % i, d) for i, d in enumerate(degs))
-    fa = FreeAlgebra(field, gens)
-    words_of = {}
-    for w in itertools.product(range(len(gens)), repeat=2):
-        words_of.setdefault(fa.word_degree(w), []).append(w)
-    rels = []
-    for _ in range(draw(st.integers(1, 2))):
-        d = draw(st.sampled_from(sorted(words_of)))
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(words_of[d]),
-                               max_size=len(words_of[d])))
-        rel = {w: field.of(c) for w, c in zip(words_of[d], coeffs) if field.of(c)}
-        if rel:
-            rels.append(fa.monic(rel))
-    return Presentation(field, gens, tuple(rels))
-
-
 @settings(max_examples=40, deadline=None)
-@given(_presentations(), st.data())
+@given(presentations(), st.data())
 def test_memoized_normal_form_equals_direct_reduction(pres, data):
     D = 4
     A = GradedAlgebra(pres, D)

@@ -226,6 +226,21 @@ def test_kp_nonpositive_p_exit_one(files, capsys):
         assert captured.out == ""
 
 
+def test_denominator_divisible_by_p_exit_one(files, capsys):
+    tmp = files["tmp"]
+    (tmp / "f5.pres").write_text("field F5\ngens x:1 y:1\nrel x*y - 1/5*y*x\n")
+    (tmp / "q.pres").write_text("field Q\ngens x:1 y:1\nrel x*y - 1/5*y*x\n")
+    (tmp / "ok5.pres").write_text("field F5\ngens x:1 y:1\nrel x*y - 2*y*x\n")
+    (tmp / "fifth.auto").write_text("x -> 1/5*x\ny -> y\n")
+    for argv in (["ext", str(tmp / "f5.pres")],
+                 ["ext", str(tmp / "q.pres"), "--field", "F5"],
+                 ["verify", str(tmp / "ok5.pres"), "--auto", str(tmp / "fifth.auto")]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "F5" in err and "1/5" in err, err
+        assert "Traceback" not in err
+
+
 def test_large_prime_field_exit_codes(files, capsys, tmp_path):
     big = tmp_path / "big.pres"
     big.write_text("field F2305843009213693951\ngens x:1\nrel x^3\n")
@@ -277,6 +292,7 @@ MALFORMED = [
     "field Q\ngens x:1\nrel x*q\n",
     "field Q\ngens x:1\nrel x^^2\n",
     "\x00\xff binary",
+    "field F3\ngens x:1 y:1\nrel x*y - 1/3*y*x\n",
 ]
 
 

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extalg import (
     ComplexMap,
+    ExtAlgebra,
     FreeComplex,
     GradedAlgebra,
     NotAChainMap,
@@ -24,6 +26,7 @@ from extalg import (
 from extalg.linalg import RationalField
 
 from oracles import bar_tor_dimensions
+from strategies import presentations
 
 
 def gen_table(P, N):
@@ -77,6 +80,19 @@ def test_resolution_matches_bar_oracle(qplane, cube):
     C = GradedAlgebra(cube, 7)
     PC = minimal_resolution(C, 4, 7)
     assert gen_table(PC, 4) == bar_tor_dimensions(C, 4, 7)
+
+
+@settings(max_examples=20, deadline=None)
+@given(presentations(), st.data())
+def test_random_presentation_matches_bar_oracle_and_precedence(pres, data):
+    N, D = 3, 4
+    A = GradedAlgebra(pres, D)
+    P = minimal_resolution(A, N, D)
+    assert gen_table(P, N) == bar_tor_dimensions(A, N, D)
+    perm = data.draw(st.permutations(range(len(pres.generators))))
+    A2 = GradedAlgebra(pres, D, precedence=perm)
+    E2 = ExtAlgebra(A2, minimal_resolution(A2, N, D), N, D)
+    assert E2.dimension_table() == ExtAlgebra(A, P, N, D).dimension_table()
 
 
 def test_resolution_minimality(qplane):

@@ -4,7 +4,8 @@ The references in `oracles` multiply every coordinate of dense blocks and
 lift against the shifted resolution P[n](t) built as its own complex, with
 its signed differentials and its own eliminations.  Every case runs over Q
 and over F5, with the canonical particular solution and with free variables
-set to 1.
+set to 1.  The automorphism tau is compared with the lift from the
+resolution's twist, built as its own complex.
 """
 
 import pytest
@@ -30,6 +31,7 @@ from oracles import (
     compose_dense,
     dense_blocks,
     shifted_lifts,
+    twisted_complex_automorphism,
     yoneda_product_dense,
 )
 
@@ -123,3 +125,27 @@ def test_ext_maps_match_dense_oracle(name, field, fv):
             assert emap.apply(cls) == want, (cls, want)
     for cls in sample_classes(EA):
         assert tau.apply(cls) == apply_automorphism_dense(dense_blocks(tau), cls, zero)
+
+
+# (presentation, automorphism, N, D): sigma is not diagonal on TRIV and on
+# k[a,b,c], and permutes the generators of SKL
+TAU_CASES = {
+    "triv": ("field Q\ngens x:1 y:1\nrel x^2\nrel x*y\nrel y*x\nrel y^2\n",
+             "x -> x + y\ny -> 3*y\n", 5, 5),
+    "k3-F101": ("field F101\ngens a:1 b:1 c:1\nrel a*b - b*a\nrel a*c - c*a\nrel b*c - c*b\n",
+                "a -> a + b\nb -> b + c\nc -> 2*c\n", 3, 6),
+    "skl": ("field Q\ngens x:1 y:1 w:1\nrel x*y - 2*y*x + w^2\nrel y*w - 2*w*y + x^2\n"
+            "rel w*x - 2*x*w + y^2\n", "x -> y\ny -> w\nw -> x\n", 3, 6),
+}
+
+
+@pytest.mark.parametrize("fv", (0, 1))
+@pytest.mark.parametrize("name", sorted(TAU_CASES))
+def test_tau_matches_twisted_complex_lift(name, fv):
+    ptext, atext, n, d = TAU_CASES[name]
+    pres = parse_presentation(ptext)
+    A = GradedAlgebra(pres, d)
+    sigma = morphism_from_images(A, A, parse_automorphism(atext, pres), automorphism=True, D=d)
+    E = ExtAlgebra(A, minimal_resolution(A, n, d), n, d)
+    tau = induced_ext_automorphism(E, sigma, free_value=fv)
+    assert tau.blocks == twisted_complex_automorphism(E, sigma, fv)

@@ -41,6 +41,15 @@ def test_field_by_name():
         field_by_name("R")
 
 
+def test_prime_field_rejects_denominator_divisible_by_p():
+    assert F5.of(Fraction(2, 3)) == Mod(4, 5)
+    assert F5.of(Fraction(10, 5)) == Mod(2, 5)  # Fraction reduces to 2
+    with pytest.raises(ValueError, match="1/5 is not defined in F5"):
+        F5.of(Fraction(1, 5))
+    with pytest.raises(ValueError, match="-3/10"):
+        F5.of(Fraction(-3, 10))
+
+
 def test_large_characteristics_decided_quickly():
     # trial division would take hours on these; Miller-Rabin takes microseconds
     t0 = time.monotonic()

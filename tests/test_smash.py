@@ -1,5 +1,6 @@
 """Twisted tensor products: laws, the commutation twist, factorization."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,13 @@ from extalg import (
     smash_multiply,
     twist_from_factorization,
     ExtAlgebra,
+    parse_automorphism,
+    verify_ext_factorization,
 )
 from extalg.linalg import RationalField
+from extalg.smash import first_nonmultiplicative, smash_table, window_pairs
+
+from oracles import certify_smash_direct
 
 Q = RationalField()
 
@@ -159,3 +165,106 @@ def test_ext_product_table_window(qplane):
     # certified pairs only: (2,2)x(2,2) exceeds the window
     assert ((2, 2, 0), (2, 2, 0)) not in T.products
     assert T.mul_basis((0, 0, 0), (1, 1, 0)) == {(1, 1, 0): Q.one}
+
+
+QPLANE = "field Q\ngens x:1 y:1\nrel x*y - 2*y*x\n"
+
+
+def _flip():
+    X = algebra_table(poly_algebra("a", 1, 3), 3)
+    Y = algebra_table(poly_algebra("b", 1, 3), 3)
+    return flip_twist(X, Y), 0, 3
+
+
+def _qplane_commutation():
+    pres = parse_presentation(QPLANE)
+    A = GradedAlgebra(pres, 4)
+    sigma = morphism_from_images(A, A, parse_automorphism("x -> 2*x\ny -> 3*y\n", pres),
+                                 automorphism=True, D=4)
+    return skew_commutation_twist(A, sigma, 1, 4, poly_algebra("z", 1, 4)), 0, 4
+
+
+def _recovered(ptext, atext):
+    def build():
+        pres = parse_presentation(ptext)
+        report = verify_ext_factorization(pres, parse_automorphism(atext, pres), 1, 4, 4)
+        return report.objects["R"], 4, 4
+    return build
+
+
+TWISTS = {
+    "flip": _flip,
+    "qplane-commutation": _qplane_commutation,
+    "qplane-R": _recovered(QPLANE, "x -> 2*x\ny -> 3*y\n"),
+    "kx-R": _recovered("field Q\ngens x:1\n", "x -> 2*x\n"),
+}
+
+
+def _inner_key(T):
+    """The first twist value R(y (x) x) with neither label a unit."""
+    return min(k for k in T.twist if k[0] != T.right.unit and k[1] != T.left.unit)
+
+
+def _scale_image(T):
+    key = _inner_key(T)
+    T.twist[key] = {p: 3 * c for p, c in T.twist[key].items()}
+
+
+def _flip_sign(T):
+    key = _inner_key(T)
+    T.twist[key] = {p: -c for p, c in T.twist[key].items()}
+
+
+def _break_twist_unit(T):
+    xl = T.left.labels[1]
+    T.twist[(T.right.unit, xl)] = {(xl, T.right.unit): 2 * T.left.field.one}
+
+
+def _break_factor_unit(T):
+    xl = T.left.labels[1]
+    T.left.products[(T.left.unit, xl)] = {xl: 2 * T.left.field.one}
+
+
+CORRUPTIONS = {"none": lambda T: None, "scaled": _scale_image, "sign": _flip_sign,
+               "twist-unit": _break_twist_unit, "factor-unit": _break_factor_unit}
+# corruptions that leave a valid twist: b a = -a b on k[a] (x) k[b] through
+# degree 3, and xi f = c f xi on the two exterior algebras of kx for any c != 0
+STILL_VALID = {("flip", "sign"), ("kx-R", "scaled"), ("kx-R", "sign")}
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("base", sorted(TWISTS))
+def test_certify_smash_matches_direct_reference(base, corrupt):
+    T, N, D = TWISTS[base]()
+    T = copy.deepcopy(T)
+    CORRUPTIONS[corrupt](T)
+    got = certify_smash(copy.deepcopy(T), N, D)
+    assert got == certify_smash_direct(T, N, D)
+    assert (got[1] is None) == (corrupt == "none" or (base, corrupt) in STILL_VALID), got
+
+
+def test_smash_table_holds_each_window_product():
+    T, N, D = _qplane_commutation()
+    S = smash_table(T, N, D)
+    one = Q.one
+    assert S.unit == (T.left.unit, T.right.unit)
+    assert S.labels == [p for p, _ in window_pairs(T.left, T.right, N, D)]
+    assert S.bidegree == {(xl, yl): (xl[0] + yl[0], xl[1] + yl[1]) for xl, yl in S.labels}
+    assert S.dims == {(0, d): sum(T.left.dim(0, a) for a in range(d + 1)) for d in range(D + 1)}
+    for (p1, p2), prod in S.products.items():
+        assert prod == smash_multiply(T, {p1: one}, {p2: one})
+    assert len(S.products) == sum(1 for p1 in S.labels for p2 in S.labels
+                                  if S.bidegree[p1][1] + S.bidegree[p2][1] <= D)
+
+
+def test_first_nonmultiplicative_names_first_failure(qplane):
+    # x*y = 2 y*x on the quantum plane, so the table has a coefficient 2
+    T = algebra_table(GradedAlgebra(qplane, 3), 3)
+    assert any(c != 1 for prod in T.products.values() for c in prod.values())
+    graded = {lab: {lab: Fraction(3) ** lab[1]} for lab in T.labels}
+    assert first_nonmultiplicative(T, T, graded) is None
+    broken = (0, 2, 0)
+    graded[broken] = {broken: Fraction(5)}
+    want = next((a, b) for (a, b), prod in T.products.items()
+                if broken in prod and a[1] and b[1])
+    assert first_nonmultiplicative(T, T, graded) == want
