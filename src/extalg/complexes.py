@@ -79,7 +79,9 @@ class FreeComplex:
 
     Caches the module bases per (position, degree) and the elimination of
     each differential's degree-d part; the flat rows an elimination is built
-    from are not kept.
+    from are not kept.  A cached elimination is rank-only, which is all that
+    the resolution and the exactness check read; a lift, which solves,
+    replaces the entry with a solvable one.
     """
 
     def __init__(self, algebra: GradedAlgebra, gens: dict, diffs: dict,
@@ -160,11 +162,14 @@ class FreeComplex:
                 row[j] = self.algebra.field.one
         return [row] if row else []
 
-    def outgoing_solver(self, n, d):
-        """Echelon of the map leaving position n in degree d."""
+    def outgoing_solver(self, n, d, solvable=False):
+        """Echelon of the map leaving position n in degree d.
+
+        With `solvable`, the elimination keeps its transforms for `solve`.
+        """
         key = (n, d)
         got = self._solvers.get(key)
-        if got is None:
+        if got is None or (solvable and not got.solvable):
             ncols = len(self.module_basis(n, d))
             if n in self.diffs:
                 rows = self.flat_matrix(n, d)
@@ -172,7 +177,7 @@ class FreeComplex:
                 rows = self.augmentation_rows(d)
             else:
                 rows = []
-            got = Echelon(rows, ncols, self.algebra.field)
+            got = Echelon(rows, ncols, self.algebra.field, solvable)
             self._solvers[key] = got
         return got
 

@@ -94,7 +94,7 @@ def lift_chain_map(src: FreeComplex, dst: FreeComplex, base_position: int,
                         poly_times_element(dst.algebra, entry, target, rhs)
             p, e = m + dn, dv - dt
             b = dst.flatten(p + 1, e, rhs)
-            x = dst.outgoing_solver(p, e).solve(b, free_value=free_value)
+            x = dst.outgoing_solver(p, e, solvable=True).solve(b, free_value=free_value)
             if x is None:
                 raise LiftError("no lift at position %d, degree %d" % (m, dv))
             cur.append(dst.unflatten(p, e, x))

@@ -4,15 +4,21 @@ Scalars are `fractions.Fraction` (over Q) or `Mod` (over GF(p)); there is no
 floating point anywhere.  Matrices are lists of sparse rows, each row a dict
 {column index: nonzero scalar}.  There is one forward-elimination loop,
 `Eliminator.reduce`, which clears a vector's least column against a
-{pivot col: row} dict; `Echelon` runs on it and then back-substitutes.  A
-matrix's reduced row echelon form is unique, so its pivots, reduced rows,
-kernel basis and canonical solutions do not depend on the elimination order,
-and every basis produced downstream is reproducible across runs.
+{pivot col: row} dict; `Echelon` runs on it and then back-substitutes.  An
+`Echelon` carries each row's transform only for a caller that will solve
+against it, and stores it by right-hand-side column; a rank or kernel
+elimination does without.  A matrix's reduced row echelon form is unique, so
+its pivots, reduced rows, kernel basis and canonical solutions do not depend
+on the elimination order, and every basis produced downstream is
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+_new_mod = object.__new__
 
 
 class Mod:
@@ -35,7 +41,16 @@ class Mod:
             return Mod(other.numerator, self.p) / Mod(other.denominator, self.p)
         return NotImplemented
 
+    # `+`, `-`, `*` and unary `-` on two elements of one field are the hot
+    # path of every elimination over GF(p): they build the result directly,
+    # without `_lift` and `__init__`.  Any other operand goes through `_lift`.
+
     def __add__(self, other):
+        if type(other) is Mod and other.p == self.p:
+            r = _new_mod(Mod)
+            r.val = (self.val + other.val) % self.p
+            r.p = self.p
+            return r
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -44,6 +59,11 @@ class Mod:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is Mod and other.p == self.p:
+            r = _new_mod(Mod)
+            r.val = (self.val - other.val) % self.p
+            r.p = self.p
+            return r
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -56,6 +76,11 @@ class Mod:
         return Mod(other.val - self.val, self.p)
 
     def __mul__(self, other):
+        if type(other) is Mod and other.p == self.p:
+            r = _new_mod(Mod)
+            r.val = self.val * other.val % self.p
+            r.p = self.p
+            return r
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -78,7 +103,10 @@ class Mod:
         return other / self
 
     def __neg__(self):
-        return Mod(-self.val, self.p)
+        r = _new_mod(Mod)
+        r.val = -self.val % self.p
+        r.p = self.p
+        return r
 
     def __eq__(self, other):
         if isinstance(other, Mod):
@@ -214,15 +242,16 @@ def vec_add_scaled(dst, src, c):
                 del dst[j]
 
 
-def _dot(u, v):
-    """Sum of u[i] * v[i] over the common keys of two sparse dicts (int 0 if none)."""
-    if len(u) > len(v):
-        u, v = v, u
-    acc = 0
-    for i, c in u.items():
-        x = v.get(i)
-        if x:
-            acc = acc + c * x
+def _combine(columns, b):
+    """Sum of b[k] * columns[k] over b's nonzeros, as a sparse dict.
+
+    `columns` maps an index k to a sparse column {i: c}.
+    """
+    acc = {}
+    for k, v in b.items():
+        col = columns.get(k)
+        if col is not None and v:
+            vec_add_scaled(acc, col, v)
     return acc
 
 
@@ -269,29 +298,35 @@ class Eliminator:
 
 
 class Echelon:
-    """Reduced row echelon data for one matrix, reusable for many solves.
+    """Reduced row echelon data for one matrix: rank, kernel and, if asked, solves.
 
-    Input row i is augmented with its transform, a 1 at column ncols + i,
-    and run through `Eliminator.reduce`; as matrix columns come first in
-    the column order, a row whose least column is >= ncols has reduced to
-    zero.  Back substitution, rightmost pivot first, then gives the reduced
-    form, and each reduced row is split once into its matrix part (`rows`,
-    as (pivot col, row) in pivot order) and its transform, so that a
-    particular solution or a consistency check against any right-hand side
-    costs one sparse dot product per row.
+    Rows run through `Eliminator.reduce` and are then back-substituted,
+    rightmost pivot first, to the reduced form, kept in `rows` as
+    (pivot col, row) in pivot order.  Only a caller that will `solve` needs
+    the transforms, so only `solvable=True` keeps them: input row i is then
+    augmented with a 1 at column ncols + i, and as matrix columns come first
+    in the column order, a row whose least column is >= ncols has reduced to
+    zero.  Each reduced row's transform, and the transform of each row that
+    reduced to zero (a consistency check), is stored by right-hand-side
+    index, so that a solve touches only the right-hand side's nonzeros.  A
+    rank-only elimination (`solvable=False`) has the same `rows`,
+    `pivot_cols`, `rank` and kernel basis, and its `solve` raises.
     """
 
-    def __init__(self, rows, ncols, field):
+    def __init__(self, rows, ncols, field, solvable=True):
         self.ncols = ncols
         self.field = field
+        self.solvable = solvable
         elim = Eliminator(field)
-        self.zero_rows = []  # transforms of rows that reduced to zero
+        checks = []  # transforms of rows that reduced to zero
         for i, r in enumerate(rows):
-            v, p = elim.reduce({**r, ncols + i: field.one})
+            v, p = elim.reduce({**r, ncols + i: field.one} if solvable else r)
+            if p is None:
+                continue
             if p < ncols:
                 elim._store(v, p)
             else:
-                self.zero_rows.append({j - ncols: c for j, c in v.items()})
+                checks.append(v)
         self.pivot_cols = sorted(elim.rows)
         # back substitution, rightmost pivot first: the rows subtracted are
         # then reduced already, with no entry at another pivot column, so
@@ -300,36 +335,47 @@ class Echelon:
             row = elim.rows[col]
             for j in [j for j in row if j != col and j in elim.rows]:
                 vec_add_scaled(row, elim.rows[j], -row[j])
+        self.rank = len(self.pivot_cols)
+        self.free_cols = [c for c in range(ncols) if c not in elim.rows]
+        if not solvable:
+            self.rows = [(col, elim.rows[col]) for col in self.pivot_cols]
+            return
         self.rows = []
-        self._transforms = []
+        # right-hand-side index -> {pivot col: coefficient} and -> {check: coefficient}
+        self._by_rhs = {}
+        self._checks_by_rhs = {}
         for col in self.pivot_cols:
             row = elim.rows[col]
             self.rows.append((col, {j: c for j, c in row.items() if j < ncols}))
-            self._transforms.append({j - ncols: c for j, c in row.items() if j >= ncols})
-        self.rank = len(self.rows)
-        self.free_cols = [c for c in range(ncols) if c not in elim.rows]
+            for j, c in row.items():
+                if j >= ncols:
+                    self._by_rhs.setdefault(j - ncols, {})[col] = c
+        for z, trow in enumerate(checks):
+            for j, c in trow.items():
+                self._checks_by_rhs.setdefault(j - ncols, {})[z] = c
 
     def solve(self, b, free_value=0):
         """One solution x (sparse dict) of M x = b, or None if inconsistent.
 
         free_value=0 gives the canonical particular solution; any other value
         assigns that constant to every free variable, producing a second,
-        independent particular solution for well-definedness tests.
+        independent particular solution for well-definedness tests.  Raises
+        ValueError on a rank-only elimination.
         """
-        for trow in self.zero_rows:
-            if _dot(trow, b):
-                return None
+        if not self.solvable:
+            raise ValueError("Echelon built with solvable=False keeps no transforms")
+        if _combine(self._checks_by_rhs, b):
+            return None
+        acc = _combine(self._by_rhs, b)
         fv = self.field.of(free_value)
-        x = {}
-        if fv:
-            for c in self.free_cols:
-                x[c] = fv
-        for (col, row), trow in zip(self.rows, self._transforms):
-            val = _dot(trow, b)
-            if fv:
-                for j, c in row.items():
-                    if j != col:
-                        val = val - c * fv
+        if not fv:
+            return {col: acc[col] for col in sorted(acc)}
+        x = {c: fv for c in self.free_cols}
+        for col, row in self.rows:
+            val = acc.get(col, 0)
+            for j, c in row.items():
+                if j != col:
+                    val = val - c * fv
             if val:
                 x[col] = val
         return x

@@ -158,8 +158,8 @@ def smash_multiply(T: SmashTwist, e1: dict, e2: dict) -> dict:
                         s = add if s is None else s + add
                         if s:
                             out[key] = s
-                        else:
-                            del out[key]
+                        else:  # absent too if `add` is an explicit zero
+                            out.pop(key, None)
     return out
 
 

@@ -487,7 +487,7 @@ def frobenius_check(table: ProductTable, finite: FinitenessVerdict) -> Frobenius
                 c = table.mul_basis(la, lb).get(top_label)
                 if c:
                     rows[i][j] = c
-        if Echelon(rows, dim, table.field).rank != dim:
+        if Echelon(rows, dim, table.field, solvable=False).rank != dim:
             return FrobeniusVerdict(
                 "not-frobenius", top=top,
                 detail="pairing %s x %s into the top is degenerate" % ((n, t), comp),
@@ -598,7 +598,7 @@ def frobenius_form_crosscheck(report: FactorizationReport) -> dict:
             c = form(p1, p2)
             if c:
                 rows[idx[p1]][idx[p2]] = c
-    nondeg = Echelon(rows, len(pairs), field).rank == len(pairs)
+    nondeg = Echelon(rows, len(pairs), field, solvable=False).rank == len(pairs)
 
     # associativity of the form on certified triples: <ab, c> == <a, bc>
     assoc = all(

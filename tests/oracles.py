@@ -103,7 +103,7 @@ def bar_tor_dimensions(A, N, D):
                     else:
                         rows[row].pop(j, None)
                 sign = -sign
-        return Echelon(rows, len(src), field).rank
+        return Echelon(rows, len(src), field, solvable=False).rank
 
     out = {}
     for n in range(N + 1):

@@ -52,6 +52,14 @@ def test_hilbert_matches_ideal_oracle(qplane):
         assert A.hilbert(d) == quotient_dimension(qplane, d)
 
 
+@settings(max_examples=25, deadline=None)
+@given(presentations())
+def test_random_presentation_hilbert_matches_ideal_oracle(pres):
+    A = GradedAlgebra(pres, 4)
+    for d in range(5):
+        assert A.hilbert(d) == quotient_dimension(pres, d)
+
+
 def test_hilbert_oracle_three_generators():
     pres = parse_presentation("field Q\ngens x:1 y:1 w:1\nrel x*y - y*x\nrel x*w + w*y")
     A = GradedAlgebra(pres, 4)

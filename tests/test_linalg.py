@@ -86,6 +86,53 @@ def test_mod_arithmetic():
     assert Mod(1, 5) / a * a == Mod(1, 5)
 
 
+P = 7
+
+
+def mod_int(x):
+    """The residue mod P of a Mod, int or Fraction operand."""
+    if isinstance(x, Mod):
+        return x.val
+    if isinstance(x, Fraction):
+        return x.numerator * pow(x.denominator, -1, P) % P
+    return x % P
+
+
+mod_operand = st.one_of(
+    st.integers(-20, 20).map(lambda v: Mod(v, P)),
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-20, 20),
+              st.integers(1, 20).filter(lambda d: d % P)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-20, 20), mod_operand, st.booleans())
+def test_mod_operators_match_integers_mod_p(a, other, mod_left):
+    a = Mod(a, P)
+    x, y = (a, other) if mod_left else (other, a)
+    ix, iy = mod_int(x), mod_int(y)
+    for got, want in ((x + y, ix + iy), (x - y, ix - iy), (x * y, ix * iy), (-a, -a.val)):
+        assert isinstance(got, Mod) and got.p == P and got.val == want % P
+    if iy:
+        got = x / y
+        assert isinstance(got, Mod) and got.val == ix * pow(iy, -1, P) % P
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@given(st.integers(-20, 20), st.integers(-20, 20))
+def test_mod_mixed_characteristics_raise(a, b):
+    x, y = Mod(a, 5), Mod(b, 7)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: y + x, lambda: y * x):
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            op()
+    if b % 7:
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            x / y
+
+
 def test_rref_identity():
     rows = [{0: Q.one}, {1: Q.one}]
     red, pivots = reduced(rows, 2, Q)
@@ -290,6 +337,13 @@ def test_echelon_matches_dense_gauss_jordan(field, data):
     kernel = [{fc: field.one} | {col: -row[fc] for row, col in zip(red, pivots) if row[fc]}
               for fc in range(ncols) if fc not in pivots]
     assert ech.kernel_basis() == kernel
+    rank_only = Echelon(rows, ncols, field, solvable=False)
+    assert rank_only.rows == ech.rows
+    assert rank_only.pivot_cols == ech.pivot_cols
+    assert rank_only.rank == ech.rank
+    assert rank_only.kernel_basis() == kernel
+    with pytest.raises(ValueError, match="solvable=False"):
+        rank_only.solve({})
     value = st.integers(-3, 3).map(field.of)
     x = {j: v for j in range(ncols) if (v := data.draw(value))}
     inside = mat_vec(rows, x, field)

@@ -268,3 +268,17 @@ def test_first_nonmultiplicative_names_first_failure(qplane):
     want = next((a, b) for (a, b), prod in T.products.items()
                 if broken in prod and a[1] and b[1])
     assert first_nonmultiplicative(T, T, graded) == want
+
+
+def test_explicit_zero_in_twist_image_is_skipped():
+    X = algebra_table(poly_algebra("a", 1, 2), 2)
+    Y = algebra_table(poly_algebra("b", 1, 2), 2)
+    T = flip_twist(X, Y)
+    a = b = (0, 1, 0)
+    # R(b (x) a) = a (x) b + 0 a^2 (x) 1
+    T.twist[(b, a)][((0, 2, 0), (0, 0, 0))] = Q.zero
+    one = Q.one
+    assert smash_multiply(T, {(X.unit, b): one}, {(a, Y.unit): one}) == {(a, b): one}
+    status, bad = certify_smash(T, 0, 2)
+    assert status == "smash-certified-to-(0,2)"
+    assert bad is None
